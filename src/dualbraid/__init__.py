@@ -33,7 +33,6 @@ from .interval import (
     enumerate_interval,
     interval_join,
     interval_meet,
-    ncp_count,
     verify_lattice,
     weak_order_poset,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "interval_join",
     "interval_meet",
     "is_garside_element",
-    "ncp_count",
     "normal_form",
     "parse_atom",
     "parse_type",

@@ -91,7 +91,7 @@ def cmd_simples(args) -> int:
         ["interval", "rewriting", "formula"] if args.engine == "all" else [args.engine, "formula"]
     )
     if "formula" in engines:
-        values["formula"] = interval.ncp_count(ctype)
+        values["formula"] = ctype.simples_count
     if "interval" in engines:
         values["interval"] = len(interval.enumerate_interval(ctype))
     if "rewriting" in engines:
@@ -293,7 +293,7 @@ def cmd_eq(args) -> int:
 def _table1_cell(label: str, enumerate_classical_limit: int) -> dict:
     ctype = parse_type(label)
     t0 = time.monotonic()
-    expected = interval.ncp_count(ctype)
+    expected = ctype.simples_count
     computed = len(interval.enumerate_interval(ctype))
     order_expected = ctype.group_order
     if ctype.group_order <= enumerate_classical_limit:

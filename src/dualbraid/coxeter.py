@@ -6,20 +6,26 @@ length (codimension of the fixed space), ``simples`` lists the simple
 reflections in a fixed order, and ``coxeter_element`` is the product of
 the simples in reversed listed order, u-first convention.  That fixed
 choice matches the image of the dual Garside word under the projection
-that sends each atom to its reflection.
+that sends each atom to its reflection.  ``shortenings(x, l)`` yields the
+reflections t with l_T(t x) = l - 1, which is all that interval
+enumeration asks of a model.
 
 Models: permutations for A, signed permutations for B and D, a rotation
-or reflection pair for I2, and exact reflection matrices (integer Cartan
-data, or the golden ring for H3 and H4) for the remaining types.
+or reflection pair for I2, and for H3, H4, F4, E6, E7 and E8 the
+permutation that an element induces on the root system.  Exact arithmetic
+over Z, or over the golden ring Z[phi] for H3 and H4, builds the roots
+and answers the two rank questions of the root model: the reflection
+length, and the moved-space test behind its ``shortenings``.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Iterable
 
 from .coxtypes import CoxType
-from .exact import GoldenInt, mat_identity, mat_mul, matrix_rank
+from .exact import GoldenInt, left_null_basis, matrix_rank
 from .presentation import Atom, Word
 
 __all__ = [
@@ -27,7 +33,7 @@ __all__ = [
     "PermGroup",
     "SignedPermGroup",
     "DihedralGroup",
-    "MatrixGroup",
+    "RootGroup",
     "word_image",
     "signed_perm_matrix",
 ]
@@ -67,8 +73,22 @@ class _GroupBase:
                         depth[v] = d
                         nxt.append(v)
             frontier = nxt
-        assert len(depth) == self.ctype.group_order
+        if len(depth) != self.ctype.group_order:
+            raise RuntimeError(
+                f"group {self.ctype}: BFS reached {len(depth)} elements, "
+                f"expected {self.ctype.group_order}"
+            )
         return depth
+
+    def shortenings(self, x, length: int):
+        """Pairs (t, t x) over the reflections t with l_T(t x) = length - 1.
+
+        ``length`` is l_T(x); ``t x`` is ``mul(t, x)``.
+        """
+        for t in self.reflections:
+            tx = self.mul(t, x)
+            if self.refl_length(tx) == length - 1:
+                yield t, tx
 
 
 def _perm_cycles(perm: tuple[int, ...]) -> int:
@@ -89,7 +109,8 @@ class PermGroup(_GroupBase):
     """Symmetric group on rank+1 points; elements are image tuples."""
 
     def __init__(self, ctype: CoxType):
-        assert ctype.series == "A"
+        if ctype.series != "A":
+            raise ValueError(f"the permutation model covers type A, not {ctype}")
         self.ctype = ctype
         self.points = ctype.rank + 1
         self.identity = tuple(range(1, self.points + 1))
@@ -133,7 +154,8 @@ class SignedPermGroup(_GroupBase):
     """Hyperoctahedral model for B and D; w[i-1] is the signed image of i."""
 
     def __init__(self, ctype: CoxType):
-        assert ctype.series in ("B", "D")
+        if ctype.series not in ("B", "D"):
+            raise ValueError(f"the signed-permutation model covers B and D, not {ctype}")
         self.ctype = ctype
         self.n = ctype.rank
         self.identity = tuple(range(1, self.n + 1))
@@ -218,7 +240,8 @@ class DihedralGroup(_GroupBase):
     """I2(m): rotations ('r', k) and reflections ('s', k) with k mod m."""
 
     def __init__(self, ctype: CoxType):
-        assert ctype.series == "I2"
+        if ctype.series != "I2":
+            raise ValueError(f"the dihedral model covers I2, not {ctype}")
         self.ctype = ctype
         self.m = ctype.param
         self.identity = ("r", 0)
@@ -288,94 +311,94 @@ def _cartan_matrix(ctype: CoxType):
     return tuple(tuple(r) for r in rows)
 
 
-def _reflection_matrix(n: int, beta, f, ident):
-    return tuple(
-        tuple(ident[r][c] - beta[r] * f[c] for c in range(n)) for r in range(n)
-    )
+class RootGroup(_GroupBase):
+    """An exceptional type as permutations of its root system.
 
-
-class MatrixGroup(_GroupBase):
-    """Exact reflection matrices in the simple-root basis.
-
-    Elements are n x n tuples over Z or Z[phi] acting on column vectors;
-    ``mul(u, v)`` composes u first, so it multiplies as v @ u.  Each
-    reflection carries its rank-one data (beta, f) with matrix
-    I - beta f^T, which the interval search uses for cheap updates.
+    The roots are built once, exactly, in the simple-root basis over Z or
+    Z[phi]: the orbit of the simple roots under the simple reflections,
+    which is closed under negation.  The first ``rank`` roots are the
+    simple roots.  An element w is the tuple p with p[r] the index of
+    w(root r), so ``mul(u, v)`` applies u first, as in :class:`PermGroup`.
+    There is one reflection per +- root pair, the conjugate of a simple
+    reflection along the path that reached its root.
     """
 
     def __init__(self, ctype: CoxType):
-        assert ctype.series in ("H", "F", "E")
+        if ctype.series not in ("H", "F", "E"):
+            raise ValueError(f"the root model covers H, F and E, not {ctype}")
         self.ctype = ctype
-        self.n = ctype.rank
-        self.cartan = _cartan_matrix(ctype)
-        one = self.cartan[0][0].__class__(1, 0) if ctype.series == "H" else 1
-        self.one = one
-        self.identity = mat_identity(self.n, one)
+        self.n = n = ctype.rank
+        cartan = _cartan_matrix(ctype)
+        one = GoldenInt(1, 0) if ctype.series == "H" else 1
+        zero = one - one
+        # s_j(v) = v - (sum_i v_i cartan[i][j]) e_j on coordinate vectors
+        roots = [tuple(one if i == j else zero for i in range(n)) for j in range(n)]
+        index = {root: r for r, root in enumerate(roots)}
+        images: list[list[int]] = [[] for _ in range(n)]
+        parent: list[tuple[int, int] | None] = [None] * n
+        r = 0
+        while r < len(roots):
+            root = roots[r]
+            for j in range(n):
+                shift = sum((root[i] * cartan[i][j] for i in range(n)), start=zero)
+                image = root[:j] + (root[j] - shift,) + root[j + 1:]
+                k = index.get(image)
+                if k is None:
+                    k = index[image] = len(roots)
+                    roots.append(image)
+                    parent.append((r, j))
+                images[j].append(k)
+            r += 1
+        if len(roots) != 2 * ctype.num_reflections:
+            raise RuntimeError(
+                f"{ctype}: found {len(roots)} roots, expected {2 * ctype.num_reflections}"
+            )
+        self.roots = tuple(roots)
+        self.identity = tuple(range(len(roots)))
+        self.simples = tuple(tuple(img) for img in images)
+        # s_{s_j(a)} = s_j s_a s_j; keep the first root of each +- pair
+        by_root = list(self.simples)
+        for r in range(n, len(roots)):
+            q, j = parent[r]
+            s = self.simples[j]
+            by_root.append(self.mul(self.mul(s, by_root[q]), s))
+        negative = [index[tuple(-x for x in root)] for root in roots]
+        kept = [r for r in range(len(roots)) if r < negative[r]]
+        self.reflections = tuple(by_root[r] for r in kept)
+        self._reflection_roots = tuple(roots[r] for r in kept)
 
     def mul(self, u, v):
-        return mat_mul(v, u)
+        # tuple(v[x] for x in u), done in C
+        return operator.itemgetter(*u)(v)
 
     def inv(self, u):
-        # reflection matrices have small order; iterate to the inverse
-        acc = u
-        prev = self.identity
-        while acc != self.identity:
-            prev = acc
-            acc = mat_mul(acc, u)
-        return prev
+        out = [0] * len(u)
+        for i, x in enumerate(u):
+            out[x] = i
+        return tuple(out)
 
-    @cached_property
-    def _simple_data(self):
-        zero = self.one - self.one
-        data = []
-        for j in range(self.n):
-            beta = tuple(self.one if i == j else zero for i in range(self.n))
-            f = tuple(self.cartan[i][j] for i in range(self.n))
-            data.append((_reflection_matrix(self.n, beta, f, self.identity), beta, f))
-        return data
-
-    @cached_property
-    def simples(self):
-        return tuple(m for m, _, _ in self._simple_data)
-
-    @cached_property
-    def reflection_data(self):
-        """All reflections as (matrix, beta, f), closed under conjugation."""
-        n = self.n
-        found: dict = {}
-        queue = []
-        for mat, beta, f in self._simple_data:
-            key = tuple(tuple(beta[r] * f[c] for c in range(n)) for r in range(n))
-            if key not in found:
-                found[key] = (mat, beta, f)
-                queue.append((beta, f))
-        while queue:
-            beta, f = queue.pop()
-            for smat, sbeta, sf in self._simple_data:
-                nb = tuple(
-                    sum((smat[r][c] * beta[c] for c in range(n)), start=beta[0] - beta[0])
-                    for r in range(n)
-                )
-                nf = tuple(
-                    sum((smat[r][c] * f[r] for r in range(n)), start=f[0] - f[0])
-                    for c in range(n)
-                )
-                key = tuple(tuple(nb[r] * nf[c] for c in range(n)) for r in range(n))
-                if key not in found:
-                    mat = _reflection_matrix(n, nb, nf, self.identity)
-                    found[key] = (mat, nb, nf)
-                    queue.append((nb, nf))
-        return tuple(found.values())
-
-    @cached_property
-    def reflections(self):
-        return tuple(m for m, _, _ in self.reflection_data)
+    def _moved(self, u) -> list[list]:
+        """M - I, where column j of M holds the coordinates of u(alpha_j)."""
+        cols = [self.roots[k] for k in u[: self.n]]
+        return [
+            [col[i] - 1 if i == j else col[i] for j, col in enumerate(cols)]
+            for i in range(self.n)
+        ]
 
     def refl_length(self, u) -> int:
-        diff = [
-            [u[r][c] - self.identity[r][c] for c in range(self.n)] for r in range(self.n)
-        ]
-        return matrix_rank(diff)
+        return matrix_rank(self._moved(u))
+
+    def shortenings(self, x, length: int):
+        # t shortens x exactly when the root of t lies in the moved space
+        # im(x - 1), i.e. when every row of the left null space of x - 1
+        # annihilates it; this holds at any length
+        null = left_null_basis(self._moved(x))
+        for t, root in zip(self.reflections, self._reflection_roots):
+            for y in null:
+                if sum(map(operator.mul, y, root)):
+                    break
+            else:
+                yield t, self.mul(t, x)
 
     def atom_image(self, atom: Atom):
         raise ValueError(f"type {self.ctype} has no named generators")
@@ -389,7 +412,7 @@ def coxeter_group(ctype: CoxType) -> _GroupBase:
         return SignedPermGroup(ctype)
     if ctype.series == "I2":
         return DihedralGroup(ctype)
-    return MatrixGroup(ctype)
+    return RootGroup(ctype)
 
 
 def word_image(group: _GroupBase, word: Word | Iterable[Atom]):

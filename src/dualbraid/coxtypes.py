@@ -127,11 +127,6 @@ class CoxType:
         """True for the series whose presentations are spelled out by atoms."""
         return self.series in ("A", "B", "D", "I2")
 
-    @property
-    def is_crystallographic_matrix(self) -> bool:
-        """True when the reflection model uses an integer Cartan matrix."""
-        return self.series in ("F", "E")
-
 
 _I2_RE = re.compile(r"^I2?\s*[(:,]\s*(\d+)\s*\)?$", re.IGNORECASE)
 _TYPE_RE = re.compile(r"^([A-Za-z])\s*\(?\s*(\d+)\s*\)?$")

@@ -1,17 +1,19 @@
-"""Exact arithmetic helpers for reflection matrices.
+"""Exact arithmetic for the root systems of the exceptional types.
 
 Crystallographic types work over the integers.  The types H3 and H4 need
 the golden ring Z[phi] with phi^2 = phi + 1, implemented here as
-:class:`GoldenInt`.  Ranks of integer or golden matrices are computed by
-fraction-free elimination so every division is exact.
+:class:`GoldenInt`.  Ranks and left null spaces of integer or golden
+matrices are computed by fraction-free elimination, so every division is
+exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
-__all__ = ["GoldenInt", "matrix_rank", "mat_mul", "mat_identity"]
+__all__ = ["GoldenInt", "matrix_rank", "left_null_basis"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,18 +127,63 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
     return r
 
 
-def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> tuple[tuple, ...]:
-    """Product of two square matrices given as tuples of row tuples."""
-    n = len(A)
-    Bcols = list(zip(*B))
-    out = []
-    for row in A:
-        out.append(
-            tuple(sum((x * y for x, y in zip(row, col)), start=row[0] - row[0]) for col in Bcols)
-        )
-    return tuple(out)
+def _reduce_int_vector(vec: list) -> list:
+    g = 0
+    for v in vec:
+        g = gcd(g, abs(v))
+    if g > 1:
+        return [v // g for v in vec]
+    return vec
 
 
-def mat_identity(n: int, one=1) -> tuple[tuple, ...]:
+def left_null_basis(mat: Sequence[Sequence]) -> tuple[tuple, ...]:
+    """Basis of the rows y with y @ mat = 0, for a square matrix over Z or Z[phi].
+
+    Fraction-free elimination on the transpose; integer vectors are
+    divided by the gcd of their entries.
+
+    >>> left_null_basis([[1, 2], [2, 4]])
+    ((-2, 1),)
+    """
+    n = len(mat)
+    golden = any(isinstance(x, GoldenInt) for x in mat[0])
+    one = GoldenInt(1, 0) if golden else 1
     zero = one - one
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    rows = [list(col) for col in zip(*mat)]
+    piv_cols: list[int] = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, n) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pv = rows[r][c]
+        for i in range(r + 1, n):
+            if rows[i][c]:
+                mult = rows[i][c]
+                ri = rows[i]
+                rr = rows[r]
+                rows[i] = [pv * ri[j] - mult * rr[j] for j in range(n)]
+        piv_cols.append(c)
+        r += 1
+        if r == n:
+            break
+    basis = []
+    pivot_set = set(piv_cols)
+    for fcol in (c for c in range(n) if c not in pivot_set):
+        y = [zero] * n
+        y[fcol] = one
+        for i in reversed(range(len(piv_cols))):
+            p = piv_cols[i]
+            row = rows[i]
+            s = zero
+            for j in range(n):
+                if j != p and y[j] and row[j]:
+                    s = s + row[j] * y[j]
+            pv = row[p]
+            y = [pv * v for v in y]
+            y[p] = zero - s
+        if not golden:
+            y = _reduce_int_vector(y)
+        basis.append(tuple(y))
+    return tuple(basis)

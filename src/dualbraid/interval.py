@@ -10,10 +10,8 @@ classical braid monoid; both feed the Garside engine.
 
 Membership during enumeration is decided through complements: with
 x = u^-1 c, the extension u * t stays in the interval exactly when the
-reflection t shortens x.  For the matrix models the shortening test is
-linear algebra over exact scalars: t shortens x iff the root of t lies in
-the moved space im(x - 1), which we test against a stored basis of the
-left null space of x - 1.
+reflection t shortens x.  The group model answers that question through
+its ``shortenings`` hook, so one loop serves every type.
 """
 
 from __future__ import annotations
@@ -21,10 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
 
 from .coxtypes import CoxType
-from .coxeter import MatrixGroup, coxeter_group
+from .coxeter import coxeter_group
 
 
 class LatticeError(Exception):
@@ -144,66 +141,12 @@ class IntervalPoset:
         return self.index[self.group.atom_image(atom)]
 
 
-def _reduce_int_vector(vec: list) -> list:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
-    if g > 1:
-        return [v // g for v in vec]
-    return vec
-
-
-def _left_null_basis(mat, zero, one):
-    """Rows y with y @ mat = 0, by fraction-free elimination.
-
-    Works over any integral domain whose elements support +, -, *, ==,
-    and truthiness (used here for plain ints and golden integers).
-    """
-    n = len(mat)
-    rows = [list(col) for col in zip(*mat)]
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, n) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, n):
-            if rows[i][c]:
-                mult = rows[i][c]
-                ri = rows[i]
-                rr = rows[r]
-                rows[i] = [pv * ri[j] - mult * rr[j] for j in range(n)]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    basis = []
-    pivot_set = set(piv_cols)
-    for fcol in (c for c in range(n) if c not in pivot_set):
-        y = [zero] * n
-        y[fcol] = one
-        for i in reversed(range(len(piv_cols))):
-            p = piv_cols[i]
-            row = rows[i]
-            s = zero
-            for j in range(n):
-                if j != p and y[j] and row[j]:
-                    s = s + row[j] * y[j]
-            pv = row[p]
-            y = [pv * v for v in y]
-            y[p] = zero - s
-        if isinstance(y[fcol], int):
-            y = _reduce_int_vector(y)
-        basis.append(tuple(y))
-    return tuple(basis)
-
-
-def _enumerate_generic(ctype: CoxType, group) -> IntervalPoset:
-    n = group.refl_length(group.coxeter_element)
+def enumerate_interval(ctype: CoxType, group=None) -> IntervalPoset:
+    """All elements u with l(u) + l(u^-1 c) = l(c), as a graded poset."""
+    if group is None:
+        group = coxeter_group(ctype)
     c = group.coxeter_element
-    refls = group.reflections
+    n = group.refl_length(c)
     elements = [group.identity]
     grades = [0]
     complements = [c]
@@ -213,12 +156,8 @@ def _enumerate_generic(ctype: CoxType, group) -> IntervalPoset:
     for k in range(n):
         nxt: list[int] = []
         for ui in frontier:
-            xu = complements[ui]
             u = elements[ui]
-            for t in refls:
-                xv = group.mul(t, xu)
-                if group.refl_length(xv) != n - k - 1:
-                    continue
+            for t, xv in group.shortenings(complements[ui], n - k):
                 vi = index_by_comp.get(xv)
                 if vi is None:
                     vi = len(elements)
@@ -232,88 +171,6 @@ def _enumerate_generic(ctype: CoxType, group) -> IntervalPoset:
     elem_index = {el: i for i, el in enumerate(elements)}
     komp = tuple(elem_index[x] for x in complements)
     return IntervalPoset(ctype, group, elements, grades, edges, komp, "absolute")
-
-
-def _enumerate_matrix(ctype: CoxType, group: MatrixGroup) -> IntervalPoset:
-    n = ctype.rank
-    c = group.coxeter_element
-    one = group.one
-    zero = one - one
-    ident = group.identity
-    rdata = group.reflection_data
-    elements = [ident]
-    grades = [0]
-    complements = [c]
-    nulls = [_left_null_basis([[c[r][k] - ident[r][k] for k in range(n)] for r in range(n)], zero, one)]
-    index_by_comp = {c: 0}
-    edges: list[tuple[int, int]] = []
-    frontier = [0]
-    rng_n = range(n)
-    for k in range(n):
-        nxt: list[int] = []
-        for ui in frontier:
-            xu = complements[ui]
-            nu = nulls[ui]
-            u = elements[ui]
-            for tmat, beta, f in rdata:
-                ok = True
-                for row in nu:
-                    s = zero
-                    for a, b in zip(row, beta):
-                        if a and b:
-                            s = s + a * b
-                    if s:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                # x_v = x_u (1 - beta f^T), a rank-one update
-                w = [None] * n
-                for r in rng_n:
-                    xr = xu[r]
-                    s = zero
-                    for cdx in rng_n:
-                        if beta[cdx] and xr[cdx]:
-                            s = s + xr[cdx] * beta[cdx]
-                    w[r] = s
-                xv = tuple(
-                    tuple(xu[r][cdx] - w[r] * f[cdx] for cdx in rng_n) for r in rng_n
-                )
-                vi = index_by_comp.get(xv)
-                if vi is None:
-                    # u_v = (1 - beta f^T) u_u, again rank one
-                    z = [None] * n
-                    for cdx in rng_n:
-                        s = zero
-                        for r in rng_n:
-                            if f[r] and u[r][cdx]:
-                                s = s + f[r] * u[r][cdx]
-                        z[cdx] = s
-                    v = tuple(
-                        tuple(u[r][cdx] - beta[r] * z[cdx] for cdx in rng_n) for r in rng_n
-                    )
-                    vi = len(elements)
-                    elements.append(v)
-                    grades.append(k + 1)
-                    complements.append(xv)
-                    diff = [[xv[r][cdx] - ident[r][cdx] for cdx in rng_n] for r in rng_n]
-                    nulls.append(_left_null_basis(diff, zero, one))
-                    index_by_comp[xv] = vi
-                    nxt.append(vi)
-                edges.append((ui, vi))
-        frontier = nxt
-    elem_index = {el: i for i, el in enumerate(elements)}
-    komp = tuple(elem_index[x] for x in complements)
-    return IntervalPoset(ctype, group, elements, grades, edges, komp, "absolute")
-
-
-def enumerate_interval(ctype: CoxType, group=None, force_generic: bool = False) -> IntervalPoset:
-    """All elements u with l(u) + l(u^-1 c) = l(c), as a graded poset."""
-    if group is None:
-        group = coxeter_group(ctype)
-    if isinstance(group, MatrixGroup) and not force_generic:
-        return _enumerate_matrix(ctype, group)
-    return _enumerate_generic(ctype, group)
 
 
 def weak_order_poset(ctype: CoxType, group=None, max_order: int = 50_000) -> IntervalPoset:
@@ -353,11 +210,6 @@ def interval_meet(u, v, poset: IntervalPoset):
 def interval_join(u, v, poset: IntervalPoset):
     """Least upper bound of two poset elements."""
     return poset.elements[poset.join_index(poset.index[u], poset.index[v])]
-
-
-def ncp_count(ctype: CoxType) -> int:
-    """Closed-form simple-element count (degree product formula)."""
-    return ctype.simples_count
 
 
 @dataclass
@@ -454,11 +306,12 @@ def verify_lattice(
     else:
         mode = "sampled"
         rng = random.Random(seed)
-        pairs = samples
+        pairs = 0
         for _ in range(samples):
             i = rng.randrange(size)
             j = rng.randrange(size)
             _check_pair(poset, i, j, violations)
+            pairs += 1
             if len(violations) > 20:
                 break
     return LatticeReport(

@@ -20,7 +20,6 @@ from dualbraid import (
     enumerate_interval,
     halfturn_fixed_check,
     is_garside_element,
-    ncp_count,
     normal_form,
     parse_type,
     verify_classical_from_dual,
@@ -63,7 +62,7 @@ def test_criterion_01_dual_counts_classical_series():
         dt = time.monotonic() - t0
         slowest = max(slowest, dt)
         assert len(poset) == val, f"{name}: {len(poset)} != {val}"
-        assert len(poset) == ncp_count(parse_type(name))
+        assert len(poset) == parse_type(name).simples_count
         assert dt < 5.0, f"{name} took {dt:.1f}s"
     _report(1, True, f"{len(expected)} classical-series counts exact, slowest cell {slowest:.2f}s")
 

@@ -157,3 +157,10 @@ def test_usage_errors(capsys):
 def test_nf_rejects_wrong_alphabet(capsys):
     assert main(["nf", "B2", "sigma(1)"]) == 2
     capsys.readouterr()
+
+
+def test_nf_classical_exceptional_is_a_usage_error(capsys):
+    # the weak order of H3 builds; its atoms have no names to parse
+    assert main(["nf", "H3", "--classical", "s1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")

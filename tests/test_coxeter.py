@@ -1,7 +1,8 @@
 import pytest
 
 from dualbraid import coxeter_group, parse_type, word_image
-from dualbraid.exact import GoldenInt, mat_identity, mat_mul, matrix_rank
+from dualbraid.coxeter import DihedralGroup, PermGroup, RootGroup, SignedPermGroup
+from dualbraid.exact import GoldenInt, left_null_basis, matrix_rank
 from dualbraid.presentation import dual_atoms
 
 
@@ -64,11 +65,10 @@ def test_refl_length_equals_fixed_space_codimension():
 
     ct = parse_type("B3")
     group = coxeter_group(ct)
-    ident = mat_identity(ct.rank)
     for u in group.enumerate_group():
         mat = signed_perm_matrix(group, u)
         diff = [
-            [mat[i][j] - ident[i][j] for j in range(ct.rank)]
+            [mat[i][j] - (i == j) for j in range(ct.rank)]
             for i in range(ct.rank)
         ]
         assert group.refl_length(u) == matrix_rank(diff)
@@ -90,19 +90,26 @@ def test_golden_int_arithmetic():
 
 
 def test_matrix_helpers():
-    ident = mat_identity(3)
+    ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert matrix_rank(ident) == 3
-    assert mat_mul(ident, ident) == ident
+    assert left_null_basis(ident) == ()
     singular = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert matrix_rank(singular) == 2
+    (y,) = left_null_basis(singular)
+    assert y == (-2, 1, 0)
     assert matrix_rank([[GoldenInt(0, 1), GoldenInt(1, 1)]]) == 1
+    # over Z[phi]: the row (phi, -1) kills [[1, phi], [phi, phi + 1]]
+    phi, one = GoldenInt(0, 1), GoldenInt(1, 0)
+    golden = [[one, phi], [phi, phi + 1]]
+    (y,) = left_null_basis(golden)
+    for j in range(2):
+        assert not (y[0] * golden[0][j] + y[1] * golden[1][j])
 
 
-def test_matrix_group_h3_reflections():
-    from dualbraid.coxeter import MatrixGroup
-
+def test_root_group_h3_reflections():
     ct = parse_type("H3")
-    group = MatrixGroup(ct)
+    group = RootGroup(ct)
+    assert len(group.roots) == 30
     assert len(list(group.reflections)) == 15
     c = group.coxeter_element
     assert group.refl_length(c) == 3
@@ -110,3 +117,25 @@ def test_matrix_group_h3_reflections():
     for _ in range(ct.coxeter_number):
         power = group.mul(power, c)
     assert power == group.identity
+
+
+def test_root_group_roots_and_inverse():
+    for name, roots in [("F4", 48), ("H4", 120), ("E6", 72), ("E7", 126), ("E8", 240)]:
+        group = RootGroup(parse_type(name))
+        assert len(group.roots) == roots
+        # one reflection per +- pair of roots
+        assert len(set(group.reflections)) == roots // 2
+        c = group.coxeter_element
+        assert group.mul(c, group.inv(c)) == group.identity
+        assert group.mul(group.inv(c), c) == group.identity
+
+
+def test_models_reject_other_types():
+    with pytest.raises(ValueError):
+        PermGroup(parse_type("B3"))
+    with pytest.raises(ValueError):
+        SignedPermGroup(parse_type("A3"))
+    with pytest.raises(ValueError):
+        DihedralGroup(parse_type("H3"))
+    with pytest.raises(ValueError):
+        RootGroup(parse_type("D4"))

@@ -73,13 +73,3 @@ def test_explicit_presentation_flags():
     assert parse_type("I2(11)").has_explicit_presentation
     assert not parse_type("H3").has_explicit_presentation
     assert not parse_type("E7").has_explicit_presentation
-
-
-def test_crystallographic_matrix_flag():
-    # only F and E run on an integer Cartan matrix; A/B/D/I2 use
-    # permutation models and H uses golden-ratio entries
-    assert parse_type("F4").is_crystallographic_matrix
-    assert parse_type("E8").is_crystallographic_matrix
-    assert not parse_type("H3").is_crystallographic_matrix
-    assert not parse_type("I2(7)").is_crystallographic_matrix
-    assert not parse_type("B3").is_crystallographic_matrix

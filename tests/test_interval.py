@@ -1,25 +1,26 @@
 import pytest
 
 from dualbraid import (
+    IntervalPoset,
     LatticeError,
     coxeter_group,
     enumerate_interval,
     interval_join,
     interval_meet,
-    ncp_count,
     parse_type,
     parse_word,
     verify_lattice,
     weak_order_poset,
     word_image,
 )
+from dualbraid.exact import GoldenInt, matrix_rank
 
 
 def test_counts_match_closed_forms():
     for name in ["A1", "A4", "B2", "B4", "D3", "D4", "I2(3)", "I2(12)", "H3", "F4"]:
         ct = parse_type(name)
         poset = enumerate_interval(ct)
-        assert len(poset) == ncp_count(ct)
+        assert len(poset) == ct.simples_count
 
 
 def test_poset_shape_invariants():
@@ -44,20 +45,96 @@ def test_top_is_coxeter_element():
     assert poset.elements[poset.bottom] == group.identity
 
 
-def test_matrix_and_generic_routes_agree():
-    # H3 runs on the fixed-space nullspace criterion by default; forcing
-    # the generic reflection-length walk must give the identical poset
-    ct = parse_type("H3")
-    fast = enumerate_interval(ct)
-    slow = enumerate_interval(ct, force_generic=True)
-    assert len(fast) == len(slow)
-    assert set(fast.elements) == set(slow.elements)
-    index = {el: i for i, el in enumerate(slow.elements)}
-    remapped = {
-        (index[fast.elements[a]], index[fast.elements[b]])
-        for a, b in fast.cover_edges
+# Cartan data of the test's own reflection matrices, in the convention of
+# the root model: s_j(e_i) = e_i - A[i][j] e_j.  H3 has bonds 5 and 3.
+_PHI, _ONE, _ZERO = GoldenInt(0, 1), GoldenInt(1, 0), GoldenInt(0, 0)
+_DEFINITION_CARTAN = {
+    "H3": (
+        (
+            (_ONE + _ONE, -_PHI, _ZERO),
+            (-_PHI, _ONE + _ONE, -_ONE),
+            (_ZERO, -_ONE, _ONE + _ONE),
+        ),
+        _ONE,
+    ),
+    "F4": (((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)), 1),
+}
+
+
+def _matmul(a, b):
+    n = len(a)
+    zero = a[0][0] - a[0][0]
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), start=zero) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _rank_of_difference(a, b):
+    n = len(a)
+    return matrix_rank([[a[i][j] - b[i][j] for j in range(n)] for i in range(n)])
+
+
+def _interval_by_definition(cartan, one):
+    """Elements and cover pairs of [1, c], straight from the definition.
+
+    A breadth-first search over reflection matrices reaches the whole
+    group; u is kept when l(u) + l(u^-1 c) = n, with l(w) = rank(w - 1)
+    and l(u^-1 v) = rank(v - u).
+    """
+    n = len(cartan)
+    zero = one - one
+    ident = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    simples = [
+        tuple(
+            tuple(ident[i][k] - (cartan[k][j] if i == j else zero) for k in range(n))
+            for i in range(n)
+        )
+        for j in range(n)
+    ]
+    # c = s_1 s_2 ... s_n as a matrix product, so s_n acts first
+    c = ident
+    for s in simples:
+        c = _matmul(c, s)
+    group = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for s in simples:
+                v = _matmul(s, u)
+                if v not in group:
+                    group.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    length = {u: _rank_of_difference(u, ident) for u in group}
+    kept = {u for u in group if length[u] + _rank_of_difference(c, u) == n}
+    covers = {
+        (u, v)
+        for u in kept
+        for v in kept
+        if length[v] == length[u] + 1 and _rank_of_difference(v, u) == 1
     }
-    assert remapped == set(slow.cover_edges)
+    return len(group), kept, covers
+
+
+def test_interval_matches_its_definition():
+    # shares no code with the engine: its own matrices and group search,
+    # with the root model read only to turn elements into matrices
+    for name in ["H3", "F4"]:
+        ct = parse_type(name)
+        order, kept, covers = _interval_by_definition(*_DEFINITION_CARTAN[name])
+        assert order == ct.group_order
+        poset = enumerate_interval(ct)
+        roots, n = poset.group.roots, ct.rank
+        mats = [
+            tuple(tuple(roots[el[j]][i] for j in range(n)) for i in range(n))
+            for el in poset.elements
+        ]
+        assert len(set(mats)) == len(mats)
+        assert set(mats) == kept
+        assert {(mats[a], mats[b]) for a, b in poset.cover_edges} == covers
+        assert len(poset.cover_edges) == len(covers)
 
 
 def test_komp_is_grade_reversing_bijection():
@@ -115,6 +192,32 @@ def test_verify_lattice_sampling_mode():
     assert report.ok
     assert report.mode == "sampled"
     assert report.pairs_checked == 10_000
+
+
+def test_weak_order_poset_h3():
+    poset = weak_order_poset(parse_type("H3"))
+    assert len(poset) == 120
+    report = verify_lattice(poset)
+    assert report.ok, report.as_dict()
+
+
+def test_verify_lattice_counts_the_pairs_it_checked():
+    # a bowtie: two atoms below two coatoms, so neither pair has a bound
+    edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
+    poset = IntervalPoset(
+        parse_type("A3"), None, "eabcdt", [0, 1, 1, 2, 2, 3], edges, [5, 3, 4, 1, 2, 0], "weak"
+    )
+    report = verify_lattice(poset, exhaustive_limit=0, samples=10_000)
+    assert report.mode == "sampled"
+    assert not report.ok
+    assert len(report.violations) == 21
+    checked = report.pairs_checked
+    assert checked < 10_000
+    # the same seed over exactly that many pairs stops on the last one
+    again = verify_lattice(poset, exhaustive_limit=0, samples=checked)
+    assert again.pairs_checked == checked and len(again.violations) == 21
+    fewer = verify_lattice(poset, exhaustive_limit=0, samples=checked - 1)
+    assert fewer.pairs_checked == checked - 1 and len(fewer.violations) < 21
 
 
 def test_weak_order_poset():
