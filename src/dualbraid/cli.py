@@ -1,7 +1,8 @@
 """Command-line interface: presentations, counts, verification, normal forms.
 
 Exit codes: 0 when every requested check passes, 1 on a verification
-failure, 2 on usage errors.  Every subcommand takes ``--json`` for
+failure or an internal failure (a class over its size cap, a broken
+invariant), 2 on usage errors.  Every subcommand takes ``--json`` for
 machine-readable output.
 """
 
@@ -415,6 +416,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

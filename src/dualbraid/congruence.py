@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from random import Random
 
-from .presentation import Atom, Presentation, Relation, Word, render_word, word_key
+from .presentation import Atom, Presentation, Relation, Word, render_word
 
 __all__ = [
     "ClassStore",
@@ -33,33 +33,36 @@ __all__ = [
     "count_simples_rewriting",
 ]
 
-DEFAULT_CLASS_CAP = 500_000
+Codes = tuple[int, ...]
+
+# limits read at call time: words per congruence class, replacements per reversal
+CLASS_CAP = 500_000
+MAX_REVERSE_STEPS = 1000
 
 
 class ClassStore:
     """Memoized congruence classes of a homogeneous presentation."""
 
-    def __init__(self, presentation: Presentation, cap: int = DEFAULT_CLASS_CAP):
+    def __init__(self, presentation: Presentation):
         for rel in presentation.relations:
             if not rel.homogeneous:
                 raise ValueError(f"relation is not length preserving: {rel}")
         self.presentation = presentation
-        self.cap = cap
-        self._rules: dict[Atom, list[tuple[Word, Word]]] = {}
+        self._rules: dict[int, list[tuple[Codes, Codes]]] = {}
         for rel in presentation.relations:
-            self._rules.setdefault(rel.lhs[0], []).append((rel.lhs, rel.rhs))
-            self._rules.setdefault(rel.rhs[0], []).append((rel.rhs, rel.lhs))
-        self._classes: list[frozenset[Word]] = []
-        self._id_of: dict[Word, int] = {}
+            lhs, rhs = presentation.encode(rel.lhs), presentation.encode(rel.rhs)
+            self._rules.setdefault(lhs[0], []).append((lhs, rhs))
+            self._rules.setdefault(rhs[0], []).append((rhs, lhs))
+        self._classes: list[frozenset[Codes]] = []
+        self._id_of: dict[Codes, int] = {}
 
-    def _neighbors(self, word: Word):
-        for i, atom in enumerate(word):
-            for side, repl in self._rules.get(atom, ()):
+    def _neighbors(self, word: Codes):
+        for i, code in enumerate(word):
+            for side, repl in self._rules.get(code, ()):
                 if word[i : i + len(side)] == side:
                     yield word[:i] + repl + word[i + len(side) :]
 
-    def class_id(self, word) -> int:
-        word = tuple(word)
+    def _class_of(self, word: Codes) -> int:
         cid = self._id_of.get(word)
         if cid is not None:
             return cid
@@ -69,10 +72,9 @@ class ClassStore:
             w = queue.popleft()
             for nb in self._neighbors(w):
                 if nb not in seen:
-                    if len(seen) >= self.cap:
-                        raise RuntimeError(
-                            f"congruence class of {render_word(word)} exceeds cap {self.cap}"
-                        )
+                    if len(seen) >= CLASS_CAP:
+                        text = render_word(self.presentation.decode(word))
+                        raise RuntimeError(f"congruence class of {text} exceeds cap {CLASS_CAP}")
                     seen.add(nb)
                     queue.append(nb)
         cid = len(self._classes)
@@ -81,8 +83,15 @@ class ClassStore:
             self._id_of[w] = cid
         return cid
 
+    def _equivalent(self, u: Codes, v: Codes) -> bool:
+        return len(u) == len(v) and v in self._classes[self._class_of(u)]
+
+    def class_id(self, word) -> int:
+        return self._class_of(self.presentation.encode(word))
+
     def class_words(self, word) -> frozenset[Word]:
-        return self._classes[self.class_id(word)]
+        decode = self.presentation.decode
+        return frozenset(decode(w) for w in self._classes[self.class_id(word)])
 
     def words_equivalent(self, u, v) -> bool:
         """Exact equality test for two positive words.
@@ -95,33 +104,34 @@ class ClassStore:
         >>> store.words_equivalent(parse_word("tau(1)*alpha(2,1)"), parse_word("alpha(2,1)*tau(1)"))
         False
         """
-        u, v = tuple(u), tuple(v)
-        if len(u) != len(v):
-            return False
-        return v in self.class_words(u)
+        encode = self.presentation.encode
+        return self._equivalent(encode(u), encode(v))
 
     def derivable(self, relation: Relation) -> bool:
         return self.words_equivalent(relation.lhs, relation.rhs)
 
     def representative(self, word) -> Word:
-        return min(self.class_words(word), key=word_key)
+        return self.presentation.decode(min(self._classes[self.class_id(word)]))
 
-    def _divisor_ids(self, word, left: bool) -> dict[int, Word]:
-        reps: dict[int, Word] = {}
-        for w in self.class_words(word):
+    def _divisor_ids(self, word, left: bool) -> dict[int, Codes]:
+        reps: dict[int, Codes] = {}
+        for w in self._classes[self.class_id(word)]:
             for k in range(len(w) + 1):
-                part = w[:k] if left else w[len(w) - k :]
-                cid = self.class_id(part)
+                cid = self._class_of(w[:k] if left else w[len(w) - k :])
                 if cid not in reps:
-                    reps[cid] = self.representative(part)
+                    reps[cid] = min(self._classes[cid])
         return reps
+
+    def _shortest_first(self, reps: dict[int, Codes]) -> list[Word]:
+        decode = self.presentation.decode
+        return [decode(c) for c in sorted(reps.values(), key=lambda c: (len(c), c))]
 
     def left_divisor_classes(self, word) -> list[Word]:
         """One representative per distinct left divisor, shortest first."""
-        return sorted(self._divisor_ids(word, left=True).values(), key=word_key)
+        return self._shortest_first(self._divisor_ids(word, left=True))
 
     def right_divisor_classes(self, word) -> list[Word]:
-        return sorted(self._divisor_ids(word, left=False).values(), key=word_key)
+        return self._shortest_first(self._divisor_ids(word, left=False))
 
     def is_garside_word(self, word) -> bool:
         """Left and right divisors agree and every atom occurs among them."""
@@ -129,13 +139,11 @@ class ClassStore:
         right = self._divisor_ids(word, left=False)
         if set(left) != set(right):
             return False
-        atom_ids = {self.class_id((a,)) for a in self.presentation.atoms}
+        atom_ids = {self._class_of((c,)) for c in range(len(self.presentation.atoms))}
         return atom_ids <= set(left)
 
 
-def is_garside_element(
-    presentation: Presentation, word: Word | None = None, cap: int = DEFAULT_CLASS_CAP
-) -> bool:
+def is_garside_element(presentation: Presentation, word: Word | None = None) -> bool:
     """Check the Garside-element law for a word by pure rewriting.
 
     Defaults to the presentation's own candidate word.  The test is the
@@ -145,8 +153,7 @@ def is_garside_element(
     target = word if word is not None else presentation.garside_word
     if target is None:
         raise ValueError("presentation has no Garside word")
-    store = ClassStore(presentation, cap=cap)
-    return store.is_garside_word(tuple(target))
+    return ClassStore(presentation).is_garside_word(target)
 
 
 def count_simples_rewriting(presentation: Presentation) -> int:
@@ -189,23 +196,23 @@ class ComplementTable:
         self.presentation = presentation
         uf = _UnionFind()
         for rel in presentation.relations:
-            uf.union(rel.lhs, rel.rhs)
+            uf.union(presentation.encode(rel.lhs), presentation.encode(rel.rhs))
         components: dict = {}
         for side in uf.parent:
             components.setdefault(uf.find(side), []).append(side)
-        self._entries: dict[tuple[Atom, Atom], Word] = {}
-        for atom in presentation.atoms:
-            self._entries[(atom, atom)] = ()
+        self._entries: dict[tuple[int, int], Codes] = {
+            (x, x): () for x in range(len(presentation.atoms))
+        }
         for comp in components.values():
-            comp.sort(key=word_key)
+            comp.sort()
             length = len(comp[0])
-            by_head: dict[Atom, Word] = {}
+            by_head: dict[int, Codes] = {}
             for word in comp:
                 by_head.setdefault(word[0], word)
-            heads = sorted(by_head, key=lambda a: a.key)
+            heads = sorted(by_head)
             for x in heads:
                 for y in heads:
-                    if x is y:
+                    if x == y:
                         continue
                     cur = self._entries.get((x, y))
                     if cur is not None and len(cur) + 1 <= length:
@@ -214,25 +221,13 @@ class ComplementTable:
 
     def entry(self, x: Atom, y: Atom) -> Word | None:
         """f(x, y), a word with x*f(x,y) = y*f(y,x), or None if missing."""
-        return self._entries.get((x, y))
-
-    def lcm_word(self, x: Atom, y: Atom) -> Word | None:
-        tail = self.entry(x, y)
-        if tail is None:
-            return None
-        return (x,) + tail
+        tail = self._entries.get(self.presentation.encode((x, y)))
+        return None if tail is None else self.presentation.decode(tail)
 
     def missing_pairs(self) -> list[tuple[Atom, Atom]]:
         atoms = self.presentation.atoms
-        return [
-            (x, y)
-            for x in atoms
-            for y in atoms
-            if x != y and (x, y) not in self._entries
-        ]
-
-    def is_total(self) -> bool:
-        return not self.missing_pairs()
+        pairs = permutations(range(len(atoms)), 2)
+        return [(atoms[x], atoms[y]) for x, y in pairs if (x, y) not in self._entries]
 
     def stats(self) -> dict:
         atoms = self.presentation.atoms
@@ -257,38 +252,44 @@ class ReversalResult:
     steps: int
 
 
-def reverse_words(table: ComplementTable, u, v, max_steps: int = 1000) -> ReversalResult:
-    """Right-reverse the signed word u^-1 v using the complement table.
-
-    Negative letters migrate to the right end; the procedure stops when
-    the word has the positive-negative shape, when a needed table entry
-    is missing ("stuck"), or after ``max_steps`` replacements
-    ("diverged").
-    """
-    word: list[tuple[Atom, int]] = [(a, -1) for a in reversed(tuple(u))]
-    word += [(a, +1) for a in tuple(v)]
+def _reverse(entries: dict[tuple[int, int], Codes], u: Codes, v: Codes):
+    """Right-reverse u^-1 v over codes; a letter x^-1 is stored as ~x."""
+    word = [~a for a in reversed(u)] + list(v)
     steps = 0
     while True:
         spot = None
         for i in range(len(word) - 1):
-            if word[i][1] < 0 and word[i + 1][1] > 0:
+            if word[i] < 0 <= word[i + 1]:
                 spot = i
                 break
         if spot is None:
-            pos = [a for a, s in word if s > 0]
-            neg = [a for a, s in word if s < 0]
-            neg.reverse()
-            return ReversalResult("reversed", tuple(pos), tuple(neg), steps)
-        if steps >= max_steps:
-            return ReversalResult("diverged", None, None, steps)
+            pos = tuple(a for a in word if a >= 0)
+            neg = tuple(~a for a in reversed(word) if a < 0)
+            return "reversed", pos, neg, steps
+        if steps >= MAX_REVERSE_STEPS:
+            return "diverged", None, None, steps
         steps += 1
-        x, y = word[spot][0], word[spot + 1][0]
-        fxy = table.entry(x, y)
-        fyx = table.entry(y, x)
+        x, y = ~word[spot], word[spot + 1]
+        fxy = entries.get((x, y))
+        fyx = entries.get((y, x))
         if fxy is None or fyx is None:
-            return ReversalResult("stuck", None, None, steps)
-        middle = [(a, +1) for a in fxy] + [(a, -1) for a in reversed(fyx)]
-        word[spot : spot + 2] = middle
+            return "stuck", None, None, steps
+        word[spot : spot + 2] = list(fxy) + [~a for a in reversed(fyx)]
+
+
+def reverse_words(table: ComplementTable, u, v) -> ReversalResult:
+    """Right-reverse the signed word u^-1 v using the complement table.
+
+    Negative letters migrate to the right end; the procedure stops when
+    the word has the positive-negative shape, when a needed table entry
+    is missing ("stuck"), or after ``MAX_REVERSE_STEPS`` replacements
+    ("diverged").
+    """
+    pres = table.presentation
+    status, comp_uv, comp_vu, steps = _reverse(table._entries, pres.encode(u), pres.encode(v))
+    if status == "reversed":
+        comp_uv, comp_vu = pres.decode(comp_uv), pres.decode(comp_vu)
+    return ReversalResult(status, comp_uv, comp_vu, steps)
 
 
 @dataclass
@@ -320,7 +321,6 @@ def cube_condition(
     presentation: Presentation,
     table: ComplementTable | None = None,
     store: ClassStore | None = None,
-    max_steps: int = 1000,
     sample: int | None = None,
     seed: int = 0,
 ) -> CubeReport:
@@ -334,29 +334,31 @@ def cube_condition(
     """
     table = table or ComplementTable(presentation)
     store = store or ClassStore(presentation)
-    triples = list(permutations(presentation.atoms, 3))
+    atoms = presentation.atoms
+    if table.presentation.atoms != atoms or store.presentation.atoms != atoms:
+        raise ValueError("the table and the store must share the presentation's atoms")
+    triples = list(permutations(range(len(atoms)), 3))
     if sample is not None and sample < len(triples):
         triples = Random(seed).sample(triples, sample)
+    entries = table._entries
     report = CubeReport()
     for x, y, z in triples:
         report.checked += 1
-        fxy = table.entry(x, y)
-        fyz = table.entry(y, z)
+        fxy = entries.get((x, y))
+        fyz = entries.get((y, z))
         if fxy is None or fyz is None:
             report.stuck += 1
             continue
-        first = reverse_words(table, (z,), (x,) + fxy, max_steps)
-        second = reverse_words(table, (x,), (y,) + fyz, max_steps)
-        if "diverged" in (first.status, second.status):
+        first, comp_first, _, _ = _reverse(entries, (z,), (x,) + fxy)
+        second, comp_second, _, _ = _reverse(entries, (x,), (y,) + fyz)
+        if "diverged" in (first, second):
             report.diverged += 1
             continue
-        if "stuck" in (first.status, second.status):
+        if "stuck" in (first, second):
             report.stuck += 1
             continue
-        t1 = (z,) + first.comp_uv
-        t2 = (x,) + second.comp_uv
-        if store.words_equivalent(t1, t2):
+        if store._equivalent((z,) + comp_first, (x,) + comp_second):
             report.passed += 1
         else:
-            report.failures.append((x, y, z))
+            report.failures.append(presentation.decode((x, y, z)))
     return report

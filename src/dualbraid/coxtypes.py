@@ -111,7 +111,8 @@ class CoxType:
         out = Fraction(1)
         for d in self.degrees:
             out *= Fraction(d + h, d)
-        assert out.denominator == 1
+        if out.denominator != 1:
+            raise ArithmeticError(f"simples count of {self} is not an integer: {out}")
         return out.numerator
 
     @property
@@ -119,7 +120,10 @@ class CoxType:
         """Number of minimal reflection words for a Coxeter element."""
         n = self.rank
         count = Fraction(math.factorial(n)) * self.coxeter_number**n / self.group_order
-        assert count.denominator == 1
+        if count.denominator != 1:
+            raise ArithmeticError(
+                f"Coxeter factorization count of {self} is not an integer: {count}"
+            )
         return count.numerator
 
     @property

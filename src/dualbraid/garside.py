@@ -66,7 +66,7 @@ class GarsideData:
         lc = self.poset.komp
         for i in range(len(lc)):
             if self.product(i, lc[i]) != self.delta:
-                raise ValueError("left complement map is inconsistent")
+                raise RuntimeError("left complement map is inconsistent")
         return lc
 
     @cached_property
@@ -78,10 +78,10 @@ class GarsideData:
             w = self.group.mul(delta_el, self.group.inv(el))
             k = self.poset.index.get(w)
             if k is None or self.poset.grades[k] + self.poset.grades[i] != self.poset.grades[self.delta]:
-                raise ValueError("right divisor of the top element is not simple")
+                raise RuntimeError("right divisor of the top element is not simple")
             out.append(k)
         if sorted(out) != list(range(len(out))):
-            raise ValueError("right complement map is not a bijection")
+            raise RuntimeError("right complement map is not a bijection")
         return tuple(out)
 
     @cached_property
@@ -94,10 +94,10 @@ class GarsideData:
             w = self.group.mul(self.group.mul(delta_inv, el), delta_el)
             k = self.poset.index.get(w)
             if k is None:
-                raise ValueError("top conjugation does not preserve simples")
+                raise RuntimeError("top conjugation does not preserve simples")
             out.append(k)
         if sorted(out) != list(range(len(out))):
-            raise ValueError("top conjugation is not a bijection")
+            raise RuntimeError("top conjugation is not a bijection")
         return tuple(out)
 
     @cached_property
@@ -119,11 +119,6 @@ class GarsideData:
         except (ValueError, KeyError):
             return None
 
-    @cached_property
-    def _label_of_index(self) -> dict[int, Atom]:
-        labels = self.atom_labels or {}
-        return {i: a for a, i in labels.items()}
-
     def simple_word(self, i: int) -> Word:
         """A geodesic atom word for a simple (explicit series only)."""
         if self.atom_labels is None:
@@ -138,7 +133,7 @@ class GarsideData:
                     cur = rest
                     break
             else:
-                raise ValueError("simple has no atom divisor; poset is corrupt")
+                raise RuntimeError("simple has no atom divisor; poset is corrupt")
         return tuple(out)
 
     def word_indices(self, word: Word) -> list[int]:
@@ -204,7 +199,7 @@ def _renorm(data: GarsideData, letters: list[int]) -> tuple[int, list[int]]:
                 x2 = data.product(x, m)
                 y2 = data.left_quotient(m, y)
                 if x2 is None or y2 is None:
-                    raise ValueError("partial product failed during renormalization")
+                    raise RuntimeError("partial product failed during renormalization")
                 factors[i] = x2
                 if y2 == data.bottom:
                     del factors[i + 1]

@@ -1,8 +1,11 @@
 """Monoid presentations by generators and homogeneous relations.
 
 Atoms are named generators such as ``alpha(3,1)`` or ``tau(2)``; words are
-tuples of atoms; a relation equates two words of the same length.  The
-module builds, for the series A, B, D and I2:
+tuples of atoms; a relation equates two words of the same length.  Each
+presentation owns its alphabet: an atom's integer code is its position in
+``atoms``, which every builder lists in ``Atom.key`` order, so code tuples
+compare like the atom words they encode.  The module builds, for the
+series A, B, D and I2:
 
 * the classical (Artin-style) presentation on the simple generators,
 * the dual presentation on one generator per reflection, and
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .coxtypes import CoxType
@@ -146,7 +150,7 @@ def expand_family(atoms: Sequence[Atom]) -> list[Relation]:
 
     >>> rels = expand_family([band(3, 2), band(2, 1), band(3, 1)])
     >>> [str(r) for r in rels]
-    ['a(3,2)*a(2,1) = a(2,1)*a(3,1)', 'a(2,1)*a(3,1) = a(3,1)*a(3,2)']
+    ['a(2,1)*a(3,1) = a(3,2)*a(2,1)', 'a(2,1)*a(3,1) = a(3,1)*a(3,2)']
     """
     p = len(atoms)
     if p < 2:
@@ -162,18 +166,9 @@ def chain_relations(words: Sequence[Word]) -> tuple[list[Relation], int]:
     chain repeats verbatim (a repeated word in the chain re-states an
     equality already emitted).
     """
-    out: list[Relation] = []
-    seen: set[tuple] = set()
-    duplicates = 0
-    for left, right in zip(words, words[1:]):
-        rel = Relation(tuple(left), tuple(right))
-        mark = (word_key(rel.lhs), word_key(rel.rhs))
-        if mark in seen or rel.lhs == rel.rhs:
-            duplicates += 1
-            continue
-        seen.add(mark)
-        out.append(rel)
-    return out, duplicates
+    rels = [Relation(tuple(left), tuple(right)) for left, right in zip(words, words[1:])]
+    out = [rel for rel in dict.fromkeys(rels) if rel.lhs != rel.rhs]
+    return out, len(rels) - len(out)
 
 
 @dataclass(frozen=True)
@@ -189,8 +184,21 @@ class Presentation:
     rejected_relations: tuple[Relation, ...] = field(default=())
     duplicate_count: int = 0
 
-    def atom_set(self) -> frozenset[Atom]:
-        return frozenset(self.atoms)
+    @cached_property
+    def _code_of(self) -> dict[Atom, int]:
+        return {atom: code for code, atom in enumerate(self.atoms)}
+
+    def encode(self, word) -> tuple[int, ...]:
+        """The integer codes of an atom word; a foreign atom raises ValueError."""
+        try:
+            return tuple(self._code_of[atom] for atom in word)
+        except KeyError as exc:
+            raise ValueError(
+                f"{exc.args[0]} is not an atom of the {self.kind} presentation of {self.ctype}"
+            ) from None
+
+    def decode(self, codes) -> Word:
+        return tuple(self.atoms[c] for c in codes)
 
     def as_dict(self) -> dict:
         data = {
@@ -543,16 +551,15 @@ def _completion_extras_d(n: int) -> list[Relation]:
     return rels
 
 
-def completed_dual_presentation(ctype: CoxType, verify: bool = True) -> Presentation:
+def completed_dual_presentation(ctype: CoxType) -> Presentation:
     """Dual presentation plus the extra relations used for completion.
 
-    With ``verify`` set (the default), every candidate relation is checked
-    against the congruence closure of the base presentation before being
-    accepted.  Candidates that are not consequences of the base relations
-    are *not* added; they are recorded in ``rejected_relations`` so callers
-    can flag them.  Adding an underivable relation would change the monoid,
-    so rejecting is the only sound option.  With ``verify=False`` all
-    candidates are appended unchecked.  Series A and I2 need no extras.
+    Every candidate relation is checked against the congruence closure of
+    the base presentation before being accepted.  Candidates that are not
+    consequences of the base relations are *not* added; they are recorded
+    in ``rejected_relations`` so callers can flag them.  Adding an
+    underivable relation would change the monoid, so rejecting is the
+    only sound option.  Series A and I2 need no extras.
     """
     base = dual_presentation(ctype)
     added: list[Relation] = []
@@ -565,27 +572,21 @@ def completed_dual_presentation(ctype: CoxType, verify: bool = True) -> Presenta
         added.extend(_completion_extras_b(ctype.rank))
     elif ctype.series == "D":
         added.extend(_completion_extras_d(ctype.rank))
-    seen = {(word_key(r.lhs), word_key(r.rhs)) for r in base.relations}
+    base_relations = set(base.relations)
+    unique = dict.fromkeys(added)
+    duplicates += len(added) - len(unique)
     fresh: list[Relation] = []
-    for rel in added:
-        mark = (word_key(rel.lhs), word_key(rel.rhs))
-        if mark in seen:
-            duplicates += 1
-            continue
-        seen.add(mark)
-        fresh.append(rel)
     rejected: list[Relation] = []
-    if verify and fresh:
-        from . import congruence
+    from . import congruence
 
-        oracle = congruence.ClassStore(base)
-        kept: list[Relation] = []
-        for rel in fresh:
-            if oracle.words_equivalent(rel.lhs, rel.rhs):
-                kept.append(rel)
-            else:
-                rejected.append(rel)
-        fresh = kept
+    oracle = congruence.ClassStore(base)
+    for rel in unique:
+        if rel in base_relations:
+            duplicates += 1
+        elif oracle.derivable(rel):
+            fresh.append(rel)
+        else:
+            rejected.append(rel)
     return Presentation(
         ctype=ctype,
         kind="completed",

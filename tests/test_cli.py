@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dualbraid import congruence
 from dualbraid.cli import main
 
 
@@ -152,6 +153,14 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate", "B2"])
     capsys.readouterr()
+
+
+def test_internal_failure_exits_1(capsys, monkeypatch):
+    # a class over its size cap is not a usage error: exit 1 with a message
+    monkeypatch.setattr(congruence, "CLASS_CAP", 3)
+    assert main(["simples", "count", "B3", "--engine", "rewriting"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds cap 3" in err
 
 
 def test_nf_rejects_wrong_alphabet(capsys):

@@ -37,6 +37,15 @@ def test_words_equivalent_b2():
     assert store.words_equivalent((), ())
 
 
+def test_foreign_atoms_are_rejected():
+    _, store = _store("B2")
+    with pytest.raises(ValueError, match=r"tau\(5\)"):
+        store.words_equivalent((tau(5),), (tau(5),))
+    table = ComplementTable(store.presentation)
+    with pytest.raises(ValueError, match=r"tau\(5\)"):
+        table.entry(tau(5), tau(1))
+
+
 def test_class_sizes_b2():
     pres, store = _store("B2")
     # the four spellings of delta: the cyclic chain has four products
@@ -96,8 +105,8 @@ def test_complement_table_b2():
     assert table.entry(t1, t1) == ()
     assert table.entry(a21, t1) == (t1,)
     assert table.entry(t1, a21) == (beta(2, 1),)
-    assert table.lcm_word(a21, t1) == (a21, t1)
-    assert table.is_total()
+    assert (a21,) + table.entry(a21, t1) == (a21, t1)
+    assert table.stats()["total"]
     assert table.stats()["missing"] == 0
     # every entry closes a common right multiple: x*f(x,y) = y*f(y,x)
     for x in pres.atoms:

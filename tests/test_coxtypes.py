@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import dualbraid
 from dualbraid import CoxType, parse_type
 
 
@@ -73,3 +77,20 @@ def test_explicit_presentation_flags():
     assert parse_type("I2(11)").has_explicit_presentation
     assert not parse_type("H3").has_explicit_presentation
     assert not parse_type("E7").has_explicit_presentation
+
+
+def test_non_integer_counts_raise(monkeypatch):
+    # degrees (2, 4, 5) give prod (d + h)/d = 63/4 simples
+    monkeypatch.setattr(CoxType, "degrees", property(lambda self: (2, 4, 5)))
+    with pytest.raises(ArithmeticError, match="A3"):
+        parse_type("A3").simples_count
+    with pytest.raises(ArithmeticError, match="A3"):
+        parse_type("A3").coxeter_factorization_count
+
+
+def test_library_has_no_asserts():
+    # checks written as assert vanish under python -O
+    for path in sorted(Path(dualbraid.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert at lines {lines}"

@@ -1,11 +1,14 @@
 import pytest
 
 from dualbraid import (
+    ClassStore,
     classical_presentation,
     completed_dual_presentation,
     coxeter_group,
     dual_atoms,
+    dual_garside_data,
     dual_presentation,
+    normal_form,
     parse_atom,
     parse_type,
     parse_word,
@@ -13,6 +16,7 @@ from dualbraid import (
     render_word,
     word_image,
 )
+from dualbraid.cli import TABLE_TYPES
 
 
 def test_atom_parse_render_round_trip():
@@ -21,6 +25,22 @@ def test_atom_parse_render_round_trip():
     word = parse_word("alpha(2,1)*tau(1)")
     assert render_word(word) == "alpha(2,1)*tau(1)"
     assert parse_word(render_word(word)) == word
+
+
+def test_alphabet_order_and_codes():
+    # code tuples compare like atom words only if atoms ascend in Atom.key
+    for label in TABLE_TYPES:
+        ct = parse_type(label)
+        if not ct.has_explicit_presentation:
+            continue
+        for flavor in ["dual", "classical", "completed"]:
+            pres = presentation_for(ct, flavor)
+            keys = [atom.key for atom in pres.atoms]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (ct, flavor)
+            for word in [pres.atoms] + [rel.lhs for rel in pres.relations]:
+                codes = pres.encode(word)
+                assert all(isinstance(c, int) for c in codes)
+                assert pres.decode(codes) == word
 
 
 def test_atom_parse_rejects_garbage():
@@ -90,13 +110,30 @@ def test_completion_counts_and_duplicates():
 
 
 def test_completion_rejects_unsound_candidates_at_d5():
-    # one instantiated chain candidate holds in the group but not in the
-    # monoid; it must be excluded and reported, never silently added
+    # one instantiated candidate holds in W but not in the braid group;
+    # it must be excluded and reported, never silently added
     d5 = completed_dual_presentation(parse_type("D5"))
     assert len(d5.rejected_relations) == 1
     rejected = d5.rejected_relations[0]
     assert rejected not in d5.relations
     assert rejected not in d5.added_relations
+
+
+def test_rejected_completion_candidates_hold_in_w_only():
+    # each candidate holds in the Coxeter group W, but the two sides are
+    # distinct in the braid group: their dual normal forms differ, and so
+    # do their congruence classes over the base presentation
+    for name, expected in [("D5", 1), ("D6", 5)]:
+        ct = parse_type(name)
+        rejected = completed_dual_presentation(ct).rejected_relations
+        assert len(rejected) == expected
+        group = coxeter_group(ct)
+        data = dual_garside_data(ct)
+        base = ClassStore(dual_presentation(ct))
+        for rel in rejected:
+            assert word_image(group, rel.lhs) == word_image(group, rel.rhs), rel
+            assert normal_form(rel.lhs, data) != normal_form(rel.rhs, data), rel
+            assert base.class_id(rel.lhs) != base.class_id(rel.rhs), rel
 
 
 def test_presentation_for_dispatch():

@@ -1,0 +1,47 @@
+"""Property tests: the congruence oracle against dual normal forms.
+
+``ClassStore`` closes words by rewriting over the presentation; normal
+forms come from the simple-element poset and share no code with it, so
+each referees the other on random positive words.
+"""
+
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dualbraid import ClassStore, dual_garside_data, dual_presentation, normal_form, parse_type
+
+TYPES = ["A4", "B3", "D4"]
+
+
+@cache
+def _structures(label):
+    ct = parse_type(label)
+    pres = dual_presentation(ct)
+    return pres, ClassStore(pres), dual_garside_data(ct)
+
+
+@st.composite
+def word_pairs(draw):
+    label = draw(st.sampled_from(TYPES))
+    atoms = _structures(label)[0].atoms
+    length = draw(st.integers(0, 6))
+    word = st.lists(st.sampled_from(atoms), min_size=length, max_size=length).map(tuple)
+    return label, draw(word), draw(word)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(word_pairs())
+def test_oracle_and_normal_forms_agree(case):
+    label, u, v = case
+    _, store, data = _structures(label)
+    nf_u = normal_form(u, data)
+    assert store.words_equivalent(u, v) == (nf_u == normal_form(v, data))
+    for w in store.class_words(u):
+        assert normal_form(w, data) == nf_u
+    expanded = [data.delta] * nf_u.delta_power + list(nf_u.factors)
+    assert normal_form(expanded, data) == nf_u
+    # the normal form spelled out in atoms is another word of u's class
+    spelled = sum((data.simple_word(i) for i in expanded), ())
+    assert store.words_equivalent(u, spelled)
