@@ -6,9 +6,12 @@ length (codimension of the fixed space), ``simples`` lists the simple
 reflections in a fixed order, and ``coxeter_element`` is the product of
 the simples in reversed listed order, u-first convention.  That fixed
 choice matches the image of the dual Garside word under the projection
-that sends each atom to its reflection.  ``shortenings(x, l)`` yields the
-reflections t with l_T(t x) = l - 1, which is all that interval
-enumeration asks of a model.
+that sends each atom to its reflection.  ``shortenings(x, l, among)``
+yields the pairs (i, t x) for the reflections t = ``reflections[i]``,
+i in ``among``, with l_T(t x) = l - 1, which is all that interval
+enumeration asks of a model.  The caller narrows ``among`` to the
+reflections below every parent of x, a superset of those below x, and
+the model tests each candidate it is given.
 
 Models: permutations for A, signed permutations for B and D, a rotation
 or reflection pair for I2, and for H3, H4, F4, E6, E7 and E8 the
@@ -80,15 +83,18 @@ class _GroupBase:
             )
         return depth
 
-    def shortenings(self, x, length: int):
-        """Pairs (t, t x) over the reflections t with l_T(t x) = length - 1.
+    def shortenings(self, x, length: int, among):
+        """Pairs (i, t x) over the reflections t = reflections[i] below x.
 
-        ``length`` is l_T(x); ``t x`` is ``mul(t, x)``.
+        ``length`` is l_T(x), and t lies below x in absolute order when
+        l_T(t x) = length - 1; ``t x`` is ``mul(t, x)``.  Only the indices
+        in ``among``, listed in increasing order, are tested, and each one
+        is tested by its reflection length.
         """
-        for t in self.reflections:
-            tx = self.mul(t, x)
+        for i in among:
+            tx = self.mul(self.reflections[i], x)
             if self.refl_length(tx) == length - 1:
-                yield t, tx
+                yield i, tx
 
 
 def _perm_cycles(perm: tuple[int, ...]) -> int:
@@ -388,17 +394,23 @@ class RootGroup(_GroupBase):
     def refl_length(self, u) -> int:
         return matrix_rank(self._moved(u))
 
-    def shortenings(self, x, length: int):
-        # t shortens x exactly when the root of t lies in the moved space
-        # im(x - 1), i.e. when every row of the left null space of x - 1
-        # annihilates it; this holds at any length
+    def shortenings(self, x, length: int, among):
+        """Pairs (i, t x) over the reflections t = reflections[i] below x.
+
+        Only the indices in ``among``, in increasing order, are tested.  t
+        shortens x exactly when the root of t lies in the moved space
+        im(x - 1), i.e. when every row of the left null space of x - 1
+        annihilates it; this holds at any length, so ``length`` is unused.
+        """
         null = left_null_basis(self._moved(x))
-        for t, root in zip(self.reflections, self._reflection_roots):
+        roots = self._reflection_roots
+        for i in among:
+            root = roots[i]
             for y in null:
                 if sum(map(operator.mul, y, root)):
                     break
             else:
-                yield t, self.mul(t, x)
+                yield i, self.mul(self.reflections[i], x)
 
     def atom_image(self, atom: Atom):
         raise ValueError(f"type {self.ctype} has no named generators")

@@ -11,7 +11,11 @@ classical braid monoid; both feed the Garside engine.
 Membership during enumeration is decided through complements: with
 x = u^-1 c, the extension u * t stays in the interval exactly when the
 reflection t shortens x.  The group model answers that question through
-its ``shortenings`` hook, so one loop serves every type.
+its ``shortenings`` hook, so one loop serves every type.  The loop runs
+grade by grade, so every parent of a complement is done before it, and
+it asks only about the reflections that shorten every parent: the child
+t x lies below x in absolute order, so by transitivity a reflection below
+t x is below x.  The model still tests each of those candidates.
 """
 
 from __future__ import annotations
@@ -147,30 +151,52 @@ def enumerate_interval(ctype: CoxType, group=None) -> IntervalPoset:
         group = coxeter_group(ctype)
     c = group.coxeter_element
     n = group.refl_length(c)
+    reflections = group.reflections
     elements = [group.identity]
     grades = [0]
     complements = [c]
     index_by_comp = {c: 0}
     edges: list[tuple[int, int]] = []
-    frontier = [0]
+    # candidates of the frontier's complements, as bitmasks over
+    # reflection positions; masks[j] belongs to frontier[j]
+    full = (1 << len(reflections)) - 1
+    frontier, masks = [0], [full]
     for k in range(n):
+        hi = len(elements)
         nxt: list[int] = []
-        for ui in frontier:
+        nxt_masks: list[int] = []
+        for ui, mask in zip(frontier, masks):
             u = elements[ui]
-            for t, xv in group.shortenings(complements[ui], n - k):
+            found = 0
+            children = []
+            for i, xv in group.shortenings(complements[ui], n - k, _bits(mask)):
+                found |= 1 << i
                 vi = index_by_comp.get(xv)
                 if vi is None:
                     vi = len(elements)
-                    elements.append(group.mul(u, t))
+                    elements.append(group.mul(u, reflections[i]))
                     grades.append(k + 1)
                     complements.append(xv)
                     index_by_comp[xv] = vi
                     nxt.append(vi)
+                    nxt_masks.append(full)
                 edges.append((ui, vi))
-        frontier = nxt
+                children.append(vi)
+            # the frontier of grade k + 1 holds the indices hi, hi + 1, ...
+            for vi in children:
+                nxt_masks[vi - hi] &= found
+        frontier, masks = nxt, nxt_masks
     elem_index = {el: i for i, el in enumerate(elements)}
     komp = tuple(elem_index[x] for x in complements)
     return IntervalPoset(ctype, group, elements, grades, edges, komp, "absolute")
+
+
+def _bits(mask: int):
+    """Positions of the set bits of a nonnegative int, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def weak_order_poset(ctype: CoxType, group=None, max_order: int = 50_000) -> IntervalPoset:

@@ -137,6 +137,52 @@ def test_interval_matches_its_definition():
         assert len(poset.cover_edges) == len(covers)
 
 
+def _interval_by_full_scan(group):
+    """[1, c] grade by grade, testing every reflection on every complement.
+
+    Uses only ``mul`` and ``refl_length``, never the ``shortenings`` hook,
+    and inherits no candidates from a parent: u t is kept when t shortens
+    the complement x = u^-1 c, that is when l(t x) = l(x) - 1.
+    """
+    c = group.coxeter_element
+    n = group.refl_length(c)
+    elements, grades, complements = [group.identity], [0], [c]
+    index_by_comp = {c: 0}
+    edges = []
+    frontier = [0]
+    for k in range(n):
+        nxt = []
+        for ui in frontier:
+            for t in group.reflections:
+                xv = group.mul(t, complements[ui])
+                if group.refl_length(xv) != n - k - 1:
+                    continue
+                vi = index_by_comp.get(xv)
+                if vi is None:
+                    vi = index_by_comp[xv] = len(elements)
+                    elements.append(group.mul(elements[ui], t))
+                    grades.append(k + 1)
+                    complements.append(xv)
+                    nxt.append(vi)
+                edges.append((ui, vi))
+        frontier = nxt
+    index = {el: i for i, el in enumerate(elements)}
+    return tuple(elements), tuple(grades), tuple(edges), tuple(index[x] for x in complements)
+
+
+def test_inherited_candidates_match_a_full_scan():
+    # enumerate_interval tests only the reflections below every parent;
+    # the scan tests them all, and both must find the same poset in the
+    # same order
+    for name in ["A5", "B5", "D5", "I2(7)", "F4", "H4", "E6"]:
+        poset = enumerate_interval(parse_type(name))
+        elements, grades, edges, komp = _interval_by_full_scan(poset.group)
+        assert poset.elements == elements, name
+        assert poset.grades == grades, name
+        assert poset.cover_edges == edges, name
+        assert poset.komp == komp, name
+
+
 def test_komp_is_grade_reversing_bijection():
     poset = enumerate_interval(parse_type("B3"))
     n = poset.grades[poset.top]

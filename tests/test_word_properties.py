@@ -2,7 +2,8 @@
 
 ``ClassStore`` closes words by rewriting over the presentation; normal
 forms come from the simple-element poset and share no code with it, so
-each referees the other on random positive words.
+each referees the other on random positive words.  Signed words check the
+group of fractions: w w^-1 has the identity normal form.
 """
 
 from functools import cache
@@ -10,7 +11,15 @@ from functools import cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualbraid import ClassStore, dual_garside_data, dual_presentation, normal_form, parse_type
+from dualbraid import (
+    ClassStore,
+    NormalForm,
+    dual_garside_data,
+    dual_presentation,
+    group_normal_form,
+    normal_form,
+    parse_type,
+)
 
 TYPES = ["A4", "B3", "D4"]
 
@@ -45,3 +54,36 @@ def test_oracle_and_normal_forms_agree(case):
     # the normal form spelled out in atoms is another word of u's class
     spelled = sum((data.simple_word(i) for i in expanded), ())
     assert store.words_equivalent(u, spelled)
+
+
+@st.composite
+def signed_words(draw):
+    label = draw(st.sampled_from(TYPES))
+    letter = st.tuples(st.sampled_from(_structures(label)[0].atoms), st.sampled_from((1, -1)))
+    return label, tuple(draw(st.lists(letter, max_size=10)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(signed_words())
+def test_word_times_inverse_is_identity(case):
+    label, word = case
+    data = _structures(label)[2]
+    inverse = tuple((atom, -sign) for atom, sign in reversed(word))
+    assert group_normal_form(word + inverse, data) == NormalForm(0, ())
+
+
+@st.composite
+def simple_pairs(draw):
+    label = draw(st.sampled_from(TYPES))
+    index = st.integers(0, len(_structures(label)[2]) - 1)
+    return label, draw(index), draw(index)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(simple_pairs())
+def test_delta_conjugation_is_an_automorphism(case):
+    label, i, j = case
+    data = _structures(label)[2]
+    conj, back, le = data.delta_conj, data.delta_conj_inv, data.poset.le
+    assert back[conj[i]] == i and conj[back[i]] == i
+    assert le(i, j) == le(conj[i], conj[j])
