@@ -1,24 +1,38 @@
 """Concrete models of the finite Coxeter groups.
 
-Each model exposes the same small interface: ``mul(u, v)`` composes two
-elements with u applied first, ``refl_length`` is the absolute reflection
-length (codimension of the fixed space), ``simples`` lists the simple
-reflections in a fixed order, and ``coxeter_element`` is the product of
-the simples in reversed listed order, u-first convention.  That fixed
-choice matches the image of the dual Garside word under the projection
-that sends each atom to its reflection.  ``shortenings(x, l, among)``
-yields the pairs (i, t x) for the reflections t = ``reflections[i]``,
-i in ``among``, with l_T(t x) = l - 1, which is all that interval
-enumeration asks of a model.  The caller narrows ``among`` to the
-reflections below every parent of x, a superset of those below x, and
-the model tests each candidate it is given.
+Every model encodes an element the same way: as the 0-based tuple p of
+the images of a fixed point set, p[i] being the image of point i.  The
+point sets are the n + 1 points of A(n); the 2n signed points of B(n) and
+D(n), where +k is point k - 1 and -k is point n + k - 1; the m vertices
+of the m-gon for I2(m), on which the reflection s_k sends i to k - i
+mod m (faithful because m >= 3); and the roots of H3, H4, F4, E6, E7 and
+E8.  So one ``mul``, ``inv``, Cayley-graph search and ``shortenings``
+serve every type, and a model supplies only its simples, reflections,
+``refl_length`` and ``atom_image``.  For example, tau(1) of B2 swaps +1
+(point 0) with -1 (point 2), and the Coxeter element of I2(5) is the
+rotation i -> i - 1:
 
-Models: permutations for A, signed permutations for B and D, a rotation
-or reflection pair for I2, and for H3, H4, F4, E6, E7 and E8 the
-permutation that an element induces on the root system.  Exact arithmetic
-over Z, or over the golden ring Z[phi] for H3 and H4, builds the roots
-and answers the two rank questions of the root model: the reflection
-length, and the moved-space test behind its ``shortenings``.
+>>> from dualbraid import parse_type, parse_atom
+>>> coxeter_group(parse_type("B2")).atom_image(parse_atom("tau(1)"))
+(2, 1, 0, 3)
+>>> coxeter_group(parse_type("I2(5)")).coxeter_element
+(4, 0, 1, 2, 3)
+
+``mul(u, v)`` composes two elements with u applied first, ``inv`` inverts,
+``refl_length`` is the absolute reflection length (codimension of the
+fixed space), ``simples`` lists the simple reflections in a fixed order,
+and ``coxeter_element`` is the product of the simples in reversed listed
+order.  That fixed choice matches the image of the dual Garside word under
+the projection that sends each atom to its reflection.
+``shortenings(x, l, among)`` yields the pairs (i, t x) for the reflections
+t = ``reflections[i]``, i in ``among``, with l_T(t x) = l - 1, which is
+all that interval enumeration asks of a model.  The caller narrows
+``among`` to the reflections below every parent of x, a superset of those
+below x, and the model tests each candidate it is given.
+
+The root model builds its roots exactly, over Z or over the golden ring
+Z[phi] for H3 and H4, and answers its two rank questions from them: the
+reflection length, and the moved-space test behind its ``shortenings``.
 """
 
 from __future__ import annotations
@@ -43,9 +57,22 @@ __all__ = [
 
 
 class _GroupBase:
-    """Shared plumbing; concrete models fill in the element operations."""
+    """Element arithmetic shared by every model: image tuples of points."""
 
     ctype: CoxType
+    identity: tuple[int, ...]
+    simples: tuple[tuple[int, ...], ...]
+    reflections: tuple[tuple[int, ...], ...]
+
+    def mul(self, u, v):
+        # tuple(v[x] for x in u), done in C
+        return operator.itemgetter(*u)(v)
+
+    def inv(self, u):
+        out = [0] * len(u)
+        for i, x in enumerate(u):
+            out[x] = i
+        return tuple(out)
 
     @cached_property
     def coxeter_element(self):
@@ -54,15 +81,8 @@ class _GroupBase:
             el = self.mul(el, s)
         return el
 
-    @cached_property
-    def reflection_set(self) -> frozenset:
-        return frozenset(self.reflections)
-
-    def enumerate_group(self, max_size: int | None = None) -> dict:
+    def enumerate_group(self) -> dict:
         """BFS over the Cayley graph; maps element -> word length ell_S."""
-        cap = max_size or self.ctype.group_order
-        if self.ctype.group_order > cap:
-            raise ValueError(f"group {self.ctype} has order {self.ctype.group_order} > {cap}")
         depth = {self.identity: 0}
         frontier = [self.identity]
         d = 0
@@ -97,56 +117,42 @@ class _GroupBase:
                 yield i, tx
 
 
-def _perm_cycles(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    count = 0
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        count += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j] - 1
-    return count
+def _swapping(size: int, pairs) -> tuple[int, ...]:
+    """The permutation of range(size) that swaps each listed pair of points."""
+    el = list(range(size))
+    for a, b in pairs:
+        el[a], el[b] = b, a
+    return tuple(el)
 
 
 class PermGroup(_GroupBase):
-    """Symmetric group on rank+1 points; elements are image tuples."""
+    """Symmetric group on the rank + 1 points; label k is point k - 1."""
 
     def __init__(self, ctype: CoxType):
         if ctype.series != "A":
             raise ValueError(f"the permutation model covers type A, not {ctype}")
         self.ctype = ctype
-        self.points = ctype.rank + 1
-        self.identity = tuple(range(1, self.points + 1))
-
-    def mul(self, u, v):
-        return tuple(v[x - 1] for x in u)
-
-    def inv(self, u):
-        out = [0] * self.points
-        for i, x in enumerate(u, start=1):
-            out[x - 1] = i
-        return tuple(out)
-
-    def transposition(self, t: int, s: int):
-        el = list(self.identity)
-        el[t - 1], el[s - 1] = s, t
-        return tuple(el)
-
-    @cached_property
-    def simples(self):
-        return tuple(self.transposition(i, i + 1) for i in range(1, self.points))
-
-    @cached_property
-    def reflections(self):
-        return tuple(
-            self.transposition(t, s) for t in range(2, self.points + 1) for s in range(1, t)
+        self.points = p = ctype.rank + 1
+        self.identity = tuple(range(p))
+        self.simples = tuple(self.transposition(i, i + 1) for i in range(1, p))
+        self.reflections = tuple(
+            self.transposition(t, s) for t in range(2, p + 1) for s in range(1, t)
         )
 
+    def transposition(self, t: int, s: int):
+        return _swapping(self.points, ((t - 1, s - 1),))
+
     def refl_length(self, u) -> int:
-        return self.points - _perm_cycles(u)
+        seen = [False] * self.points
+        cycles = 0
+        for i in range(self.points):
+            if not seen[i]:
+                cycles += 1
+                j = i
+                while not seen[j]:
+                    seen[j] = True
+                    j = u[j]
+        return self.points - cycles
 
     def atom_image(self, atom: Atom):
         if atom.family == "a":
@@ -157,135 +163,92 @@ class PermGroup(_GroupBase):
 
 
 class SignedPermGroup(_GroupBase):
-    """Hyperoctahedral model for B and D; w[i-1] is the signed image of i."""
+    """Hyperoctahedral model for B and D on the 2n signed points.
+
+    +k is point k - 1 and -k is point n + k - 1, so point p has the
+    negative (p + n) mod 2n.
+    """
 
     def __init__(self, ctype: CoxType):
         if ctype.series not in ("B", "D"):
             raise ValueError(f"the signed-permutation model covers B and D, not {ctype}")
         self.ctype = ctype
-        self.n = ctype.rank
-        self.identity = tuple(range(1, self.n + 1))
+        self.n = n = ctype.rank
+        self.identity = tuple(range(2 * n))
+        first = self.reflection(1, -1) if ctype.series == "B" else self.reflection(2, -1)
+        self.simples = (first,) + tuple(self.reflection(i + 1, i) for i in range(1, n))
+        pairs = [(t, s) for t in range(2, n + 1) for s in range(1, t)]
+        refs = [self.reflection(t, s) for t, s in pairs]
+        refs += [self.reflection(t, -s) for t, s in pairs]
+        if ctype.series == "B":
+            refs += [self.reflection(t, -t) for t in range(1, n + 1)]
+        self.reflections = tuple(refs)
 
-    def mul(self, u, v):
-        return tuple(v[x - 1] if x > 0 else -v[-x - 1] for x in u)
+    def reflection(self, a: int, b: int):
+        """The reflection swapping the signed labels a, b and -a, -b."""
+        n = self.n
 
-    def inv(self, u):
-        out = [0] * self.n
-        for i, x in enumerate(u, start=1):
-            if x > 0:
-                out[x - 1] = i
-            else:
-                out[-x - 1] = -i
-        return tuple(out)
+        def point(k: int) -> int:
+            return k - 1 if k > 0 else n - k - 1
 
-    def swap(self, t: int, s: int):
-        el = list(self.identity)
-        el[t - 1], el[s - 1] = s, t
-        return tuple(el)
-
-    def neg_swap(self, t: int, s: int):
-        el = list(self.identity)
-        el[t - 1], el[s - 1] = -s, -t
-        return tuple(el)
-
-    def flip(self, t: int):
-        el = list(self.identity)
-        el[t - 1] = -t
-        return tuple(el)
-
-    @cached_property
-    def simples(self):
-        first = self.flip(1) if self.ctype.series == "B" else self.neg_swap(2, 1)
-        return (first,) + tuple(self.swap(i + 1, i) for i in range(1, self.n))
-
-    @cached_property
-    def reflections(self):
-        out = [self.swap(t, s) for t in range(2, self.n + 1) for s in range(1, t)]
-        out += [self.neg_swap(t, s) for t in range(2, self.n + 1) for s in range(1, t)]
-        if self.ctype.series == "B":
-            out += [self.flip(t) for t in range(1, self.n + 1)]
-        return tuple(out)
+        return _swapping(2 * n, ((point(a), point(b)), (point(-a), point(-b))))
 
     def refl_length(self, u) -> int:
-        # codim of the fixed space: each sign-positive cycle fixes a line
-        seen = [False] * self.n
+        # codim of the fixed space: each signed cycle with an even number
+        # of sign changes fixes a line; a walk from +i comes back to +i on
+        # such a cycle and meets -i first on any other
+        n = self.n
+        seen = [False] * n
         positive = 0
-        for i in range(self.n):
+        for i in range(n):
             if seen[i]:
                 continue
-            sign = 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                x = u[j]
-                if x < 0:
-                    sign = -sign
-                j = abs(x) - 1
-            if sign > 0:
-                positive += 1
-        return self.n - positive
+            j = u[i]
+            while j % n != i:
+                seen[j % n] = True
+                j = u[j]
+            positive += j == i
+        return n - positive
 
     def atom_image(self, atom: Atom):
         fam = atom.family
         if fam == "alpha":
-            return self.swap(atom.i, atom.j)
+            return self.reflection(atom.i, atom.j)
         if fam == "beta":
-            return self.neg_swap(atom.i, atom.j)
+            return self.reflection(atom.i, -atom.j)
         if fam == "tau":
             if self.ctype.series == "B":
-                return self.flip(atom.i)
+                return self.reflection(atom.i, -atom.i)
             if atom.i == 1:
-                return self.neg_swap(2, 1)
+                return self.reflection(2, -1)
             raise ValueError(f"{atom} is not a generator of type {self.ctype}")
         if fam == "sigma" and 1 <= atom.i < self.n:
-            return self.swap(atom.i + 1, atom.i)
+            return self.reflection(atom.i + 1, atom.i)
         raise ValueError(f"{atom} is not a generator of type {self.ctype}")
 
 
 class DihedralGroup(_GroupBase):
-    """I2(m): rotations ('r', k) and reflections ('s', k) with k mod m."""
+    """I2(m) on the m vertices of the m-gon; s_k sends vertex i to k - i."""
 
     def __init__(self, ctype: CoxType):
         if ctype.series != "I2":
             raise ValueError(f"the dihedral model covers I2, not {ctype}")
         self.ctype = ctype
-        self.m = ctype.param
-        self.identity = ("r", 0)
-
-    def mul(self, u, v):
-        (ku, a), (kv, b) = u, v
-        m = self.m
-        if ku == "r" and kv == "r":
-            return ("r", (a + b) % m)
-        if ku == "s" and kv == "s":
-            return ("r", (b - a) % m)
-        if ku == "s" and kv == "r":
-            return ("s", (a + b) % m)
-        return ("s", (b - a) % m)
-
-    def inv(self, u):
-        kind, a = u
-        if kind == "r":
-            return ("r", (-a) % self.m)
-        return u
-
-    @cached_property
-    def simples(self):
-        return (("s", 0), ("s", 1))
-
-    @cached_property
-    def reflections(self):
-        return tuple(("s", k) for k in range(self.m))
+        self.m = m = ctype.param
+        self.identity = tuple(range(m))
+        self.reflections = tuple(tuple((k - i) % m for i in range(m)) for k in range(m))
+        self.simples = self.reflections[:2]
 
     def refl_length(self, u) -> int:
-        kind, a = u
-        if kind == "s":
+        # a reflection reverses the cyclic order of the vertices, a
+        # rotation keeps it
+        if (u[1] - u[0]) % self.m != 1:
             return 1
-        return 0 if a == 0 else 2
+        return 0 if u[0] == 0 else 2
 
     def atom_image(self, atom: Atom):
         if atom.family == "sigma" and 1 <= atom.i <= self.m:
-            return ("s", atom.i - 1)
+            return self.reflections[atom.i - 1]
         raise ValueError(f"{atom} is not a generator of type {self.ctype}")
 
 
@@ -324,7 +287,7 @@ class RootGroup(_GroupBase):
     Z[phi]: the orbit of the simple roots under the simple reflections,
     which is closed under negation.  The first ``rank`` roots are the
     simple roots.  An element w is the tuple p with p[r] the index of
-    w(root r), so ``mul(u, v)`` applies u first, as in :class:`PermGroup`.
+    w(root r), the point set of this model.
     There is one reflection per +- root pair, the conjugate of a simple
     reflection along the path that reached its root.
     """
@@ -372,16 +335,6 @@ class RootGroup(_GroupBase):
         kept = [r for r in range(len(roots)) if r < negative[r]]
         self.reflections = tuple(by_root[r] for r in kept)
         self._reflection_roots = tuple(roots[r] for r in kept)
-
-    def mul(self, u, v):
-        # tuple(v[x] for x in u), done in C
-        return operator.itemgetter(*u)(v)
-
-    def inv(self, u):
-        out = [0] * len(u)
-        for i, x in enumerate(u):
-            out[x] = i
-        return tuple(out)
 
     def _moved(self, u) -> list[list]:
         """M - I, where column j of M holds the coordinates of u(alpha_j)."""
@@ -436,9 +389,9 @@ def word_image(group: _GroupBase, word: Word | Iterable[Atom]):
 
 
 def signed_perm_matrix(group: SignedPermGroup, el) -> tuple[tuple[int, ...], ...]:
-    """Signed permutation matrix, for cross-checking lengths by rank."""
+    """Signed permutation matrix: column i holds the image of +(i + 1)."""
     n = group.n
     rows = [[0] * n for _ in range(n)]
-    for i, x in enumerate(el):
-        rows[abs(x) - 1][i] = 1 if x > 0 else -1
+    for i, x in enumerate(el[:n]):
+        rows[x % n][i] = 1 if x < n else -1
     return tuple(tuple(r) for r in rows)

@@ -286,6 +286,6 @@ def dual_garside_data(ctype: CoxType) -> GarsideData:
     return GarsideData(ctype, enumerate_interval(ctype), "dual")
 
 
-def classical_garside_data(ctype: CoxType, max_order: int = 50_000) -> GarsideData:
+def classical_garside_data(ctype: CoxType) -> GarsideData:
     """Garside structure on the weak order below the longest element."""
-    return GarsideData(ctype, weak_order_poset(ctype, max_order=max_order), "classical")
+    return GarsideData(ctype, weak_order_poset(ctype), "classical")

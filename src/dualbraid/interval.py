@@ -27,6 +27,9 @@ from functools import cached_property
 from .coxtypes import CoxType
 from .coxeter import coxeter_group
 
+# limit read at call time: the largest group whose weak order is built
+WEAK_ORDER_CAP = 50_000
+
 
 class LatticeError(Exception):
     """A pair of poset elements has no unique bound; structural failure."""
@@ -145,10 +148,9 @@ class IntervalPoset:
         return self.index[self.group.atom_image(atom)]
 
 
-def enumerate_interval(ctype: CoxType, group=None) -> IntervalPoset:
+def enumerate_interval(ctype: CoxType) -> IntervalPoset:
     """All elements u with l(u) + l(u^-1 c) = l(c), as a graded poset."""
-    if group is None:
-        group = coxeter_group(ctype)
+    group = coxeter_group(ctype)
     c = group.coxeter_element
     n = group.refl_length(c)
     reflections = group.reflections
@@ -199,18 +201,18 @@ def _bits(mask: int):
         mask ^= low
 
 
-def weak_order_poset(ctype: CoxType, group=None, max_order: int = 50_000) -> IntervalPoset:
+def weak_order_poset(ctype: CoxType) -> IntervalPoset:
     """The full Coxeter group under the prefix order, graded by word length.
 
     This is the simple-element poset of the classical braid monoid; the top
     is the longest element and complements are taken with respect to it.
+    Groups of order above ``WEAK_ORDER_CAP`` are refused.
     """
-    if group is None:
-        group = coxeter_group(ctype)
-    if ctype.group_order > max_order:
+    if ctype.group_order > WEAK_ORDER_CAP:
         raise ValueError(
-            f"group order {ctype.group_order} exceeds the classical guard {max_order}"
+            f"group order {ctype.group_order} exceeds the classical guard {WEAK_ORDER_CAP}"
         )
+    group = coxeter_group(ctype)
     depth = group.enumerate_group()
     ordered = sorted(depth.items(), key=lambda kv: (kv[1], kv[0]))
     elements = [el for el, _ in ordered]

@@ -1,7 +1,14 @@
 import pytest
 
 from dualbraid import coxeter_group, parse_type, word_image
-from dualbraid.coxeter import DihedralGroup, PermGroup, RootGroup, SignedPermGroup
+from dualbraid.cli import TABLE_TYPES
+from dualbraid.coxeter import (
+    DihedralGroup,
+    PermGroup,
+    RootGroup,
+    SignedPermGroup,
+    signed_perm_matrix,
+)
 from dualbraid.exact import GoldenInt, left_null_basis, matrix_rank
 from dualbraid.presentation import dual_atoms
 
@@ -16,12 +23,18 @@ def test_enumeration_matches_order():
 
 
 def test_reflection_basics():
-    for name in ["A4", "B4", "D4", "I2(9)", "H3", "F4"]:
+    for name in TABLE_TYPES:
         ct = parse_type(name)
         group = coxeter_group(ct)
+        # one encoding: image tuples of the points 0..k-1, with k >= 2 so
+        # that the shared itemgetter product always returns a tuple
+        ident = group.identity
+        assert ident == tuple(range(len(ident))) and len(ident) >= 2, name
         refs = list(group.reflections)
         assert len(refs) == ct.num_reflections
         assert len(set(refs)) == len(refs)
+        for t in list(group.simples) + refs:
+            assert sorted(t) == list(ident), name
         for t in refs:
             assert group.mul(t, t) == group.identity
             assert group.refl_length(t) == 1
@@ -58,20 +71,57 @@ def test_atom_images_are_distinct_reflections():
         assert set(images) == set(group.reflections)
 
 
+def _perm_matrix(u):
+    """Column i has its 1 in row u[i]."""
+    return [[int(u[j] == i) for j in range(len(u))] for i in range(len(u))]
+
+
+def _signed_matrix(u, n):
+    """Column i holds the image of +(i + 1), decoded from the 2n points."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        image = u[i]
+        if image < n:
+            rows[image][i] = 1
+        else:
+            rows[image - n][i] = -1
+    return rows
+
+
 def test_refl_length_equals_fixed_space_codimension():
     # the cycle-type count and the rank of (matrix - identity) are
     # independent routes to the same statistic
-    from dualbraid.coxeter import signed_perm_matrix
+    for name in ["A4", "B3", "D4"]:
+        ct = parse_type(name)
+        group = coxeter_group(ct)
+        for u in group.enumerate_group():
+            if ct.series == "A":
+                mat = _perm_matrix(u)
+            else:
+                n = ct.rank
+                # the image of -k is the negative of the image of +k
+                assert all(u[n + i] == (u[i] + n) % (2 * n) for i in range(n))
+                mat = _signed_matrix(u, n)
+                assert [list(r) for r in signed_perm_matrix(group, u)] == mat
+            diff = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(mat)]
+            assert group.refl_length(u) == matrix_rank(diff), (name, u)
 
-    ct = parse_type("B3")
-    group = coxeter_group(ct)
-    for u in group.enumerate_group():
-        mat = signed_perm_matrix(group, u)
-        diff = [
-            [mat[i][j] - (i == j) for j in range(ct.rank)]
-            for i in range(ct.rank)
-        ]
-        assert group.refl_length(u) == matrix_rank(diff)
+
+def test_dihedral_rotations_and_reflections():
+    for m in range(3, 13):
+        group = coxeter_group(parse_type(f"I2({m})"))
+        rot = [tuple((i + k) % m for i in range(m)) for k in range(m)]
+        ref = [tuple((k - i) % m for i in range(m)) for k in range(m)]
+        elements = group.enumerate_group()
+        assert set(elements) == set(rot) | set(ref)
+        assert {u for u in elements if group.refl_length(u) == 1} == set(ref)
+        assert set(group.reflections) == set(ref)
+        assert group.refl_length(rot[0]) == 0
+        assert all(group.refl_length(r) == 2 for r in rot[1:])
+        for a in range(m):
+            for b in range(m):
+                assert group.mul(rot[a], rot[b]) == rot[(a + b) % m]
+                assert group.mul(ref[a], ref[b]) == rot[(b - a) % m]
 
 
 def test_golden_int_arithmetic():

@@ -13,6 +13,7 @@ from dualbraid import (
     weak_order_poset,
     word_image,
 )
+from dualbraid import interval
 from dualbraid.exact import GoldenInt, matrix_rank
 
 
@@ -276,6 +277,12 @@ def test_weak_order_poset():
     assert report.ok
     with pytest.raises(ValueError):
         weak_order_poset(parse_type("E7"))
+
+
+def test_weak_order_cap_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(interval, "WEAK_ORDER_CAP", 23)
+    with pytest.raises(ValueError, match="classical guard 23"):
+        weak_order_poset(parse_type("A3"))
 
 
 def test_lattice_error_for_elements_outside_interval():
