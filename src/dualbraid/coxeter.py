@@ -26,9 +26,15 @@ order.  That fixed choice matches the image of the dual Garside word under
 the projection that sends each atom to its reflection.
 ``shortenings(x, l, among)`` yields the pairs (i, t x) for the reflections
 t = ``reflections[i]``, i in ``among``, with l_T(t x) = l - 1, which is
-all that interval enumeration asks of a model.  The caller narrows
-``among`` to the reflections below every parent of x, a superset of those
-below x, and the model tests each candidate it is given.
+all that interval enumeration asks of a model.  It asks only about the
+complements it cannot settle from two parents, c and its lower covers on
+a reflection group, with ``among`` narrowed to the reflections below every
+parent; the model tests each candidate it is given.  Enumeration looks
+complements up by the images of their first max(rank, 2) points, which
+determine an element in every model: the last point of A(n) goes where
+the others leave room, -k goes to the negative of the image of +k in B(n)
+and D(n), a dihedral symmetry is fixed by where it sends two adjacent
+vertices, and the first rank roots of H/F/E are the simple roots, a basis.
 
 The root model builds its roots exactly, over Z or over the golden ring
 Z[phi] for H3 and H4, and answers its two rank questions from them: the
@@ -109,7 +115,8 @@ class _GroupBase:
         ``length`` is l_T(x), and t lies below x in absolute order when
         l_T(t x) = length - 1; ``t x`` is ``mul(t, x)``.  Only the indices
         in ``among``, listed in increasing order, are tested, and each one
-        is tested by its reflection length.
+        is tested by its reflection length.  Interval enumeration calls
+        this for c and its lower covers only.
         """
         for i in among:
             tx = self.mul(self.reflections[i], x)
@@ -354,6 +361,8 @@ class RootGroup(_GroupBase):
         shortens x exactly when the root of t lies in the moved space
         im(x - 1), i.e. when every row of the left null space of x - 1
         annihilates it; this holds at any length, so ``length`` is unused.
+        Interval enumeration calls this for c and its lower covers only,
+        so one left null basis is built per reflection, plus one for c.
         """
         null = left_null_basis(self._moved(x))
         roots = self._reflection_roots

@@ -10,16 +10,24 @@ classical braid monoid; both feed the Garside engine.
 
 Membership during enumeration is decided through complements: with
 x = u^-1 c, the extension u * t stays in the interval exactly when the
-reflection t shortens x.  The group model answers that question through
-its ``shortenings`` hook, so one loop serves every type.  The loop runs
-grade by grade, so every parent of a complement is done before it, and
-it asks only about the reflections that shorten every parent: the child
-t x lies below x in absolute order, so by transitivity a reflection below
-t x is below x.  The model still tests each of those candidates.
+reflection t shortens x.  The loop runs grade by grade, so every parent of
+a complement is done before it, and a complement inherits the reflections
+found below its parents.  When two parents x and x'' of x' bring different
+found sets, their common part is exactly the set below x': a reflection
+lies below w exactly when its root lies in Mov(w) = im(w - 1) (Carter,
+1972), Mov is injective on [1, c] (Brady and Watt, 2002), and so
+Mov(x') = Mov(x) & Mov(x''), both sides having dimension l(x').  Such a
+complement needs no test.  The group model's ``shortenings`` hook is asked
+only about the others, the complements whose parents all brought the same
+set: on a reflection group these are c and its lower covers, 1 + N
+complements for N reflections.  A complement is looked up by the images of
+its first max(rank, 2) points, which determine an element in every model,
+and only the current frontier keeps full complements.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -154,42 +162,54 @@ def enumerate_interval(ctype: CoxType) -> IntervalPoset:
     c = group.coxeter_element
     n = group.refl_length(c)
     reflections = group.reflections
+    mul = group.mul
+    # the images of the first ``width`` points determine an element (see
+    # coxeter); at least two, since itemgetter of one index gives a scalar
+    width = max(ctype.rank, 2)
+    # heads[i](x) is the key of t x, t = reflections[i]: (t x)[j] = x[t[j]]
+    heads = [operator.itemgetter(*t[:width]) for t in reflections]
     elements = [group.identity]
     grades = [0]
-    complements = [c]
-    index_by_comp = {c: 0}
+    # complement key -> index of the element whose complement it is
+    index_by_key = {c[:width]: 0}
     edges: list[tuple[int, int]] = []
-    # candidates of the frontier's complements, as bitmasks over
-    # reflection positions; masks[j] belongs to frontier[j]
-    full = (1 << len(reflections)) - 1
-    frontier, masks = [0], [full]
+    # the frontier's full complements and reflection masks: a mask starts
+    # as the first parent's found set and is exact once a later parent
+    # brings another set; otherwise it holds candidates for the model
+    frontier, comps, masks, exact = [0], [c], [(1 << len(reflections)) - 1], [False]
     for k in range(n):
         hi = len(elements)
         nxt: list[int] = []
+        nxt_comps: list = []
         nxt_masks: list[int] = []
-        for ui, mask in zip(frontier, masks):
+        nxt_exact: list[bool] = []
+        for ui, x, mask, is_exact in zip(frontier, comps, masks, exact):
             u = elements[ui]
-            found = 0
-            children = []
-            for i, xv in group.shortenings(complements[ui], n - k, _bits(mask)):
-                found |= 1 << i
-                vi = index_by_comp.get(xv)
+            if is_exact:
+                found, tested = mask, {}
+            else:
+                tested = dict(group.shortenings(x, n - k, _bits(mask)))
+                found = sum(1 << i for i in tested)
+            for i in _bits(found):
+                key = heads[i](x)
+                vi = index_by_key.get(key)
                 if vi is None:
-                    vi = len(elements)
-                    elements.append(group.mul(u, reflections[i]))
+                    vi = index_by_key[key] = len(elements)
+                    elements.append(mul(u, reflections[i]))
                     grades.append(k + 1)
-                    complements.append(xv)
-                    index_by_comp[xv] = vi
                     nxt.append(vi)
-                    nxt_masks.append(full)
+                    nxt_comps.append(mul(reflections[i], x) if is_exact else tested[i])
+                    nxt_masks.append(found)
+                    nxt_exact.append(False)
+                elif nxt_masks[vi - hi] != found:
+                    # the frontier of grade k + 1 holds the indices hi, hi + 1, ...
+                    nxt_masks[vi - hi] &= found
+                    nxt_exact[vi - hi] = True
                 edges.append((ui, vi))
-                children.append(vi)
-            # the frontier of grade k + 1 holds the indices hi, hi + 1, ...
-            for vi in children:
-                nxt_masks[vi - hi] &= found
-        frontier, masks = nxt, nxt_masks
-    elem_index = {el: i for i, el in enumerate(elements)}
-    komp = tuple(elem_index[x] for x in complements)
+        frontier, comps, masks, exact = nxt, nxt_comps, nxt_masks, nxt_exact
+    komp = [0] * len(elements)
+    for j, el in enumerate(elements):
+        komp[index_by_key[el[:width]]] = j
     return IntervalPoset(ctype, group, elements, grades, edges, komp, "absolute")
 
 

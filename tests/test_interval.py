@@ -14,6 +14,7 @@ from dualbraid import (
     word_image,
 )
 from dualbraid import interval
+from dualbraid.cli import TABLE_TYPES
 from dualbraid.exact import GoldenInt, matrix_rank
 
 
@@ -182,6 +183,89 @@ def test_inherited_candidates_match_a_full_scan():
         assert poset.grades == grades, name
         assert poset.cover_edges == edges, name
         assert poset.komp == komp, name
+
+
+def test_model_tests_only_c_and_its_lower_covers(monkeypatch):
+    # any complement below two parents inherits an exact reflection set
+    asked = []
+
+    def counting_group(ctype):
+        group = coxeter_group(ctype)
+        hook = group.shortenings
+
+        def shortenings(x, length, among):
+            asked.append(x)
+            return hook(x, length, among)
+
+        group.shortenings = shortenings
+        return group
+
+    monkeypatch.setattr(interval, "coxeter_group", counting_group)
+    for label in TABLE_TYPES:
+        ct = parse_type(label)
+        asked.clear()
+        enumerate_interval(ct)
+        expected = 1 if ct.rank == 1 else 1 + ct.num_reflections
+        assert len(asked) == expected, label
+
+
+class _Asked(Exception):
+    pass
+
+
+def _swaps(*pairs):
+    el = list(range(5))
+    for a, b in pairs:
+        el[a], el[b] = b, a
+    return tuple(el)
+
+
+def test_equal_parent_sets_still_go_to_the_model(monkeypatch):
+    # Mov is injective on [1, c] in a reflection group, so two parents
+    # with equal found sets need a model that is not one: the permutations
+    # of five points with the reflections t1 = (3 4), a = (2 3),
+    # t2 = (0 1)(3 4), b = (0 1)(2 3) and a table of lengths.  Then
+    # x1 = t1 c and x2 = t2 c both shorten by exactly a and b, and
+    # a x1 = b x2 is the first complement of grade 2, so the model must be
+    # asked about it before any other; the table ends there, so the model
+    # raises when asked rather than complete an interval
+    t1, a, t2, b = _swaps((3, 4)), _swaps((2, 3)), _swaps((0, 1), (3, 4)), _swaps((0, 1), (2, 3))
+    group = coxeter_group(parse_type("A4"))
+    mul = group.mul
+    c = _swaps((1, 2))
+    lengths = {group.identity: 0, c: 3}
+    lengths.update((mul(t, c), 2) for t in (t1, a, t2, b))
+    lengths.update((mul(s, mul(t, c)), 1) for t in (t1, t2) for s in (a, b))
+    group.reflections = (t1, a, t2, b)
+    group.coxeter_element = c
+    group.refl_length = lambda u: lengths.get(u, 9)
+    target = mul(a, mul(t1, c))
+    assert target == mul(b, mul(t2, c))
+    for x in (mul(t1, c), mul(t2, c)):
+        assert [i for i, _ in group.shortenings(x, 2, range(4))] == [1, 3]
+    hook = group.shortenings
+
+    def shortenings(x, length, among):
+        if x == target:
+            raise _Asked
+        return hook(x, length, among)
+
+    group.shortenings = shortenings
+    monkeypatch.setattr(interval, "coxeter_group", lambda ctype: group)
+    with pytest.raises(_Asked):
+        enumerate_interval(parse_type("A4"))
+
+
+def test_first_images_determine_an_element():
+    # enumerate_interval keys complements by their first max(rank, 2) images
+    for label in TABLE_TYPES:
+        ct = parse_type(label)
+        if ct.group_order > 60_000:
+            continue
+        width = max(ct.rank, 2)
+        elements = coxeter_group(ct).enumerate_group()
+        assert len({el[:width] for el in elements}) == len(elements), label
+    assert enumerate_interval(parse_type("A1")).komp == (1, 0)
 
 
 def test_komp_is_grade_reversing_bijection():
