@@ -82,9 +82,6 @@ def cmd_present(args) -> int:
 
 
 def cmd_simples(args) -> int:
-    if args.action != "count":
-        print(f"unknown simples action {args.action!r}", file=sys.stderr)
-        return 2
     ctype = _type_from_tokens(args.type)
     t0 = time.monotonic()
     values: dict[str, int] = {}
@@ -251,17 +248,18 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _dual_data(ctype: CoxType) -> garside.GarsideData:
+def _nf_data(args) -> tuple[CoxType, garside.GarsideData]:
+    """The type and Garside structure that ``nf`` and ``eq`` work in."""
+    ctype = _type_from_tokens(args.type)
+    if args.classical:
+        return ctype, garside.classical_garside_data(ctype)
     if not ctype.has_explicit_presentation:
         raise ValueError(f"type {ctype} has no named generators for word input")
-    return garside.dual_garside_data(ctype)
+    return ctype, garside.dual_garside_data(ctype)
 
 
 def cmd_nf(args) -> int:
-    ctype = _type_from_tokens(args.type)
-    data = (
-        garside.classical_garside_data(ctype) if args.classical else _dual_data(ctype)
-    )
+    ctype, data = _nf_data(args)
     word = presentation.parse_word(args.word)
     nf = garside.normal_form(list(word), data)
     payload = {
@@ -275,10 +273,7 @@ def cmd_nf(args) -> int:
 
 
 def cmd_eq(args) -> int:
-    ctype = _type_from_tokens(args.type)
-    data = (
-        garside.classical_garside_data(ctype) if args.classical else _dual_data(ctype)
-    )
+    ctype, data = _nf_data(args)
     w1 = presentation.parse_word(args.word1)
     w2 = presentation.parse_word(args.word2)
     equal = garside.equal_in_group(list(w1), list(w2), data)

@@ -110,9 +110,6 @@ class ClassStore:
     def derivable(self, relation: Relation) -> bool:
         return self.words_equivalent(relation.lhs, relation.rhs)
 
-    def representative(self, word) -> Word:
-        return self.presentation.decode(min(self._classes[self.class_id(word)]))
-
     def _divisor_ids(self, word, left: bool) -> dict[int, Codes]:
         reps: dict[int, Codes] = {}
         for w in self._classes[self.class_id(word)]:

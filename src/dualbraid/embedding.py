@@ -147,12 +147,6 @@ def verify_dual_relations_in_group(
         data = classical_garside_data(ctype)
     group = data.group
     completed = completed_dual_presentation(ctype)
-    seen = set()
-    rels = []
-    for rel in completed.relations:
-        if rel not in seen:
-            seen.add(rel)
-            rels.append(rel)
 
     for a in dual_atoms(ctype):
         img = _signed_projection(group, dual_atom_as_classical_word(a, ctype))
@@ -168,7 +162,7 @@ def verify_dual_relations_in_group(
         report.garside_image_ok = False
         report.failures.append("Garside word image does not project to c")
 
-    for rel in rels:
+    for rel in dict.fromkeys(completed.relations):
         lhs, rhs = _relation_image(rel, ctype)
         report.relations += 1
         if group_normal_form(lhs, data) != group_normal_form(rhs, data):

@@ -24,7 +24,13 @@ from .presentation import Atom, Word, classical_atoms, dual_atoms, render_word
 
 
 class GarsideData:
-    """Simple-element poset with product, complements, and top conjugation."""
+    """Simple-element poset with product, complements, and top conjugation.
+
+    The left complement is the one map checked against the group.  The
+    right complement and conjugation by the top element are index maps of
+    it: rc = lc^-1, delta^-1 x delta = lc(lc(x)) and delta x delta^-1 =
+    rc(rc(x)) (Dehornoy and Paris, 1999; Bessis, 2003).
+    """
 
     def __init__(self, ctype: CoxType, poset: IntervalPoset, kind: str):
         self.ctype = ctype
@@ -71,41 +77,21 @@ class GarsideData:
 
     @cached_property
     def right_complement(self) -> tuple[int, ...]:
-        """rc[i] with rc[i] * i = delta; a bijection on simples."""
-        delta_el = self._elements[self.delta]
-        out = []
-        for i, el in enumerate(self._elements):
-            w = self.group.mul(delta_el, self.group.inv(el))
-            k = self.poset.index.get(w)
-            if k is None or self.poset.grades[k] + self.poset.grades[i] != self.poset.grades[self.delta]:
-                raise RuntimeError("right divisor of the top element is not simple")
-            out.append(k)
-        if sorted(out) != list(range(len(out))):
-            raise RuntimeError("right complement map is not a bijection")
-        return tuple(out)
+        """rc[i] with rc[i] * i = delta: lc sends delta i^-1 to i."""
+        self.left_complement  # verifies the map inverted here
+        return self.poset.komp_inv
 
     @cached_property
     def delta_conj(self) -> tuple[int, ...]:
         """Conjugation x -> delta^-1 x delta, as a permutation of simples."""
-        delta_el = self._elements[self.delta]
-        delta_inv = self.group.inv(delta_el)
-        out = []
-        for el in self._elements:
-            w = self.group.mul(self.group.mul(delta_inv, el), delta_el)
-            k = self.poset.index.get(w)
-            if k is None:
-                raise RuntimeError("top conjugation does not preserve simples")
-            out.append(k)
-        if sorted(out) != list(range(len(out))):
-            raise RuntimeError("top conjugation is not a bijection")
-        return tuple(out)
+        lc = self.left_complement
+        return tuple(lc[k] for k in lc)
 
     @cached_property
     def delta_conj_inv(self) -> tuple[int, ...]:
-        inv = [0] * len(self.delta_conj)
-        for i, k in enumerate(self.delta_conj):
-            inv[k] = i
-        return tuple(inv)
+        """Conjugation x -> delta x delta^-1, the inverse permutation."""
+        rc = self.right_complement
+        return tuple(rc[k] for k in rc)
 
     @cached_property
     def atom_labels(self) -> dict[Atom, int] | None:
@@ -120,20 +106,24 @@ class GarsideData:
             return None
 
     def simple_word(self, i: int) -> Word:
-        """A geodesic atom word for a simple (explicit series only)."""
+        """A geodesic atom word for a simple (explicit series only).
+
+        Each letter is the first atom, in alphabet order, below what is
+        left of the simple.
+        """
         if self.atom_labels is None:
             raise ValueError(f"type {self.ctype} has no named generators")
+        le = self.poset.le
         out: list[Atom] = []
         cur = i
         while cur != self.bottom:
             for a, ai in self.atom_labels.items():
-                rest = self.left_quotient(ai, cur)
-                if rest is not None:
-                    out.append(a)
-                    cur = rest
+                if le(ai, cur):
                     break
             else:
                 raise RuntimeError("simple has no atom divisor; poset is corrupt")
+            out.append(a)
+            cur = self.left_quotient(ai, cur)
         return tuple(out)
 
     def word_indices(self, word: Word) -> list[int]:
@@ -214,18 +204,15 @@ def _renorm(data: GarsideData, letters: list[int]) -> tuple[int, list[int]]:
     return k, factors
 
 
-def _as_indices(data: GarsideData, letters) -> list[int]:
-    out: list[int] = []
-    for item in letters:
-        if isinstance(item, Atom):
-            out.extend(data.word_indices((item,)))
-        elif isinstance(item, int):
-            if not 0 <= item < len(data.poset):
-                raise ValueError(f"simple index {item} out of range")
-            out.append(item)
-        else:
-            raise TypeError(f"cannot interpret {item!r} as a simple")
-    return out
+def _index(data: GarsideData, item) -> int:
+    """Simple index of one letter: an atom or a simple index."""
+    if isinstance(item, Atom):
+        return data.word_indices((item,))[0]
+    if isinstance(item, int):
+        if not 0 <= item < len(data.poset):
+            raise ValueError(f"simple index {item} out of range")
+        return item
+    raise TypeError(f"cannot interpret {item!r} as a simple")
 
 
 def normal_form(letters, data: GarsideData) -> NormalForm:
@@ -233,37 +220,42 @@ def normal_form(letters, data: GarsideData) -> NormalForm:
 
     Letters may be atoms of the explicit presentations or simple indices.
     """
-    k, factors = _renorm(data, _as_indices(data, letters))
-    return NormalForm(k, tuple(factors))
-
-
-SignedWord = tuple  # sequence of (Atom | int, +1 | -1)
+    return group_normal_form([(item, 1) for item in letters], data)
 
 
 def group_normal_form(signed_word, data: GarsideData) -> NormalForm:
     """Normal form of a signed word in the group of fractions.
 
-    An inverse letter s^-1 contributes delta^-1 times the right complement
-    of s, after pushing the delta through the accumulated factors by top
-    conjugation.
+    A letter is a pair (x, sign): x an atom of the explicit presentations
+    or a simple index, sign +1 or -1.  An inverse letter s^-1 is delta^-1
+    times the right complement of s; its delta^-1 moves to the front by
+    conjugating the letters before it, and the positive word left behind
+    is renormalised once.
+
+    >>> from dualbraid import dual_garside_data, parse_type, parse_word
+    >>> data = dual_garside_data(parse_type("B2"))
+    >>> a21, t1, t2 = parse_word("alpha(2,1)*tau(1)*tau(2)")
+    >>> conj = group_normal_form([(a21, 1), (t1, 1), (a21, -1)], data)
+    >>> conj == group_normal_form([(t2, 1)], data)
+    True
+    >>> group_normal_form([(data.delta, -1)], data)
+    NormalForm(delta_power=-1, factors=())
     """
     k = 0
-    factors: list[int] = []
+    letters: list[int] = []
     for item, sign in signed_word:
-        idx = _as_indices(data, [item])[0]
+        idx = _index(data, item)
         if sign == 1:
-            dk, factors = _renorm(data, factors + [idx])
-            k += dk
+            letters.append(idx)
         elif sign == -1:
             tinv = data.delta_conj_inv
-            shifted = [tinv[f] for f in factors]
-            shifted.append(data.right_complement[idx])
+            letters = [tinv[f] for f in letters]
+            letters.append(data.right_complement[idx])
             k -= 1
-            dk, factors = _renorm(data, shifted)
-            k += dk
         else:
             raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
-    return NormalForm(k, tuple(factors))
+    dk, factors = _renorm(data, letters)
+    return NormalForm(k + dk, tuple(factors))
 
 
 def equal_in_group(w1, w2, data: GarsideData) -> bool:

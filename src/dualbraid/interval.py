@@ -27,6 +27,7 @@ and only the current frontier keeps full complements.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from dataclasses import dataclass, field
@@ -339,29 +340,20 @@ def verify_lattice(
             if not poset.le(poset.komp_inv[hi], poset.komp_inv[lo]):
                 reversal_ok = False
                 break
-    violations: list = []
     if size <= exhaustive_limit:
         mode = "exhaustive"
-        pairs = 0
-        for i in range(size):
-            for j in range(i, size):
-                _check_pair(poset, i, j, violations)
-                pairs += 1
-                if len(violations) > 20:
-                    break
-            if len(violations) > 20:
-                break
+        pair_iter = itertools.combinations_with_replacement(range(size), 2)
     else:
         mode = "sampled"
         rng = random.Random(seed)
-        pairs = 0
-        for _ in range(samples):
-            i = rng.randrange(size)
-            j = rng.randrange(size)
-            _check_pair(poset, i, j, violations)
-            pairs += 1
-            if len(violations) > 20:
-                break
+        pair_iter = ((rng.randrange(size), rng.randrange(size)) for _ in range(samples))
+    violations: list = []
+    pairs = 0
+    for i, j in pair_iter:
+        _check_pair(poset, i, j, violations)
+        pairs += 1
+        if len(violations) > 20:
+            break
     return LatticeReport(
         ctype=poset.ctype,
         size=size,

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from dualbraid import (
     ClassStore,
     classical_garside_data,
@@ -12,6 +14,7 @@ from dualbraid import (
     parse_type,
     parse_word,
 )
+from dualbraid.cli import TABLE_TYPES
 
 
 def _nf_of_word(word, data):
@@ -149,3 +152,55 @@ def test_simple_word_round_trip():
             assert back.delta_power == 0 and back.factors == ()
         else:
             assert back.delta_power == 0 and back.factors == (i,)
+
+
+def _reference_tables(data):
+    """rc, delta^-1 x delta and delta x delta^-1 by group arithmetic."""
+    group, elements, index = data.group, data.poset.elements, data.poset.index
+    delta = elements[data.delta]
+    delta_inv = group.inv(delta)
+    rc = tuple(index[group.mul(delta, group.inv(el))] for el in elements)
+    conj = tuple(index[group.mul(group.mul(delta_inv, el), delta)] for el in elements)
+    conj_inv = tuple(index[group.mul(group.mul(delta, el), delta_inv)] for el in elements)
+    return rc, conj, conj_inv
+
+
+@pytest.mark.parametrize(
+    "kind,label",
+    [("dual", t) for t in TABLE_TYPES if t not in ("E7", "E8")]
+    + [("classical", t) for t in ("A3", "B3", "D4", "I2:7", "H3")],
+)
+def test_derived_tables_match_group_arithmetic(kind, label):
+    build = dual_garside_data if kind == "dual" else classical_garside_data
+    data = build(parse_type(label))
+    rc, conj, conj_inv = _reference_tables(data)
+    assert data.right_complement == rc
+    assert data.delta_conj == conj
+    assert data.delta_conj_inv == conj_inv
+    top = data.grade(data.delta)
+    assert all(data.grade(rc[i]) + data.grade(i) == top for i in range(len(data)))
+
+
+def _reference_simple_word(data, i):
+    """Scan every atom for a left quotient at each step."""
+    out = []
+    while i != data.bottom:
+        a, i = next(
+            (a, rest)
+            for a, ai in data.atom_labels.items()
+            if (rest := data.left_quotient(ai, i)) is not None
+        )
+        out.append(a)
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "kind,label",
+    [("dual", t) for t in ("A4", "B4", "D4", "I2:7")]
+    + [("classical", t) for t in ("A3", "B3", "D4", "I2:7")],
+)
+def test_simple_word_matches_quotient_scan(kind, label):
+    build = dual_garside_data if kind == "dual" else classical_garside_data
+    data = build(parse_type(label))
+    for i in range(len(data)):
+        assert data.simple_word(i) == _reference_simple_word(data, i)

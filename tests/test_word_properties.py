@@ -3,10 +3,12 @@
 ``ClassStore`` closes words by rewriting over the presentation; normal
 forms come from the simple-element poset and share no code with it, so
 each referees the other on random positive words.  Signed words check the
-group of fractions: w w^-1 has the identity normal form.
+group of fractions: w w^-1 has the identity normal form, and the one-pass
+group normal form agrees with the letter-by-letter algorithm it replaced.
 """
 
 from functools import cache
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +16,14 @@ from hypothesis import strategies as st
 from dualbraid import (
     ClassStore,
     NormalForm,
+    classical_garside_data,
     dual_garside_data,
     dual_presentation,
     group_normal_form,
     normal_form,
     parse_type,
 )
+from dualbraid import garside
 
 TYPES = ["A4", "B3", "D4"]
 
@@ -87,3 +91,50 @@ def test_delta_conjugation_is_an_automorphism(case):
     conj, back, le = data.delta_conj, data.delta_conj_inv, data.poset.le
     assert back[conj[i]] == i and conj[back[i]] == i
     assert le(i, j) == le(conj[i], conj[j])
+
+
+@cache
+def _garside(kind, label):
+    build = dual_garside_data if kind == "dual" else classical_garside_data
+    data = build(parse_type(label))
+    return data, list(data.atom_labels)
+
+
+def _letterwise_group_normal_form(signed_word, data):
+    """Renormalise after every letter, shifting the factors by delta
+    conjugation at each inverse letter."""
+    k = 0
+    factors = []
+    for atom, sign in signed_word:
+        idx = data.word_indices((atom,))[0]
+        if sign == 1:
+            dk, factors = garside._renorm(data, factors + [idx])
+        else:
+            shifted = [data.delta_conj_inv[f] for f in factors]
+            shifted.append(data.right_complement[idx])
+            k -= 1
+            dk, factors = garside._renorm(data, shifted)
+        k += dk
+    return NormalForm(k, tuple(factors))
+
+
+CELLS = [("dual", "A4"), ("dual", "B3"), ("dual", "D4"), ("classical", "B3")]
+
+
+@st.composite
+def long_signed_words(draw):
+    kind, label = draw(st.sampled_from(CELLS))
+    letter = st.tuples(st.sampled_from(_garside(kind, label)[1]), st.sampled_from((1, -1)))
+    length = draw(st.integers(0, 40))
+    return kind, label, tuple(draw(st.lists(letter, min_size=length, max_size=length)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(long_signed_words())
+def test_one_pass_matches_letterwise_normal_form(case):
+    kind, label, word = case
+    data = _garside(kind, label)[0]
+    expected = _letterwise_group_normal_form(word, data)
+    with mock.patch.object(garside, "_renorm", wraps=garside._renorm) as renorm:
+        assert group_normal_form(word, data) == expected
+    assert renorm.call_count == 1
