@@ -4,14 +4,18 @@ All relations in the presentations used here preserve word length, so
 the congruence class of a word is finite and can be closed off by
 breadth-first search.  :class:`ClassStore` memoizes those closures and
 answers equality, divisibility and Garside-word questions exactly,
-without consulting any group model.
+without consulting any group model.  Its rewrite rules are indexed by the
+first two codes of a side, so a word costs one lookup per adjacent pair;
+every relation side must therefore have at least two atoms.
 
 On top of the raw congruence sit the syntactic tools of subword
 reversing: a right-complement table extracted from the relation sides
 (:class:`ComplementTable`), the reversing procedure itself
 (:func:`reverse_words`), and the associativity test for iterated
-complements (:func:`cube_condition`).  The table may be partial; all
-consumers tolerate reversing getting stuck and report it.
+complements (:func:`cube_condition`).  The table precomputes the
+replacement f(x,y) f(y,x)^-1 of every x^-1 y it can reverse, and both
+consumers reverse on that swap table, one lookup per step.  The table may
+be partial; all consumers tolerate reversing getting stuck and report it.
 """
 
 from __future__ import annotations
@@ -47,20 +51,25 @@ class ClassStore:
         for rel in presentation.relations:
             if not rel.homogeneous:
                 raise ValueError(f"relation is not length preserving: {rel}")
+            if len(rel.lhs) < 2:
+                raise ValueError(f"relation side is shorter than two atoms: {rel}")
         self.presentation = presentation
-        self._rules: dict[int, list[tuple[Codes, Codes]]] = {}
+        # rules keyed by the first two codes of their side: (rest of side, replacement)
+        self._rules: dict[Codes, list[tuple[Codes, Codes]]] = {}
         for rel in presentation.relations:
             lhs, rhs = presentation.encode(rel.lhs), presentation.encode(rel.rhs)
-            self._rules.setdefault(lhs[0], []).append((lhs, rhs))
-            self._rules.setdefault(rhs[0], []).append((rhs, lhs))
+            self._rules.setdefault(lhs[:2], []).append((lhs[2:], rhs))
+            self._rules.setdefault(rhs[:2], []).append((rhs[2:], lhs))
         self._classes: list[frozenset[Codes]] = []
         self._id_of: dict[Codes, int] = {}
 
     def _neighbors(self, word: Codes):
-        for i, code in enumerate(word):
-            for side, repl in self._rules.get(code, ()):
-                if word[i : i + len(side)] == side:
-                    yield word[:i] + repl + word[i + len(side) :]
+        rules = self._rules
+        for i in range(len(word) - 1):
+            for rest, repl in rules.get(word[i : i + 2], ()):
+                end = i + len(repl)  # both sides of a rule have one length
+                if not rest or word[i + 2 : end] == rest:
+                    yield word[:i] + repl + word[end:]
 
     def _class_of(self, word: Codes) -> int:
         cid = self._id_of.get(word)
@@ -215,6 +224,7 @@ class ComplementTable:
                     if cur is not None and len(cur) + 1 <= length:
                         continue
                     self._entries[(x, y)] = by_head[x][1:]
+        self._swaps = _swap_table(self._entries)
 
     def entry(self, x: Atom, y: Atom) -> Word | None:
         """f(x, y), a word with x*f(x,y) = y*f(y,x), or None if missing."""
@@ -239,6 +249,15 @@ class ComplementTable:
         }
 
 
+def _swap_table(entries: dict[tuple[int, int], Codes]) -> dict[tuple[int, int], Codes]:
+    """The reversal step x^-1 y -> f(x,y) f(y,x)^-1, for pairs with both entries."""
+    return {
+        (x, y): fxy + tuple(~a for a in reversed(entries[(y, x)]))
+        for (x, y), fxy in entries.items()
+        if (y, x) in entries
+    }
+
+
 @dataclass(frozen=True)
 class ReversalResult:
     """Outcome of reversing u^-1 v; on success u*comp_uv = v*comp_vu."""
@@ -249,29 +268,32 @@ class ReversalResult:
     steps: int
 
 
-def _reverse(entries: dict[tuple[int, int], Codes], u: Codes, v: Codes):
-    """Right-reverse u^-1 v over codes; a letter x^-1 is stored as ~x."""
+def _reverse(swaps: dict[tuple[int, int], Codes], u: Codes, v: Codes):
+    """Right-reverse u^-1 v over codes; a letter x^-1 is stored as ~x.
+
+    Each step replaces the leftmost x^-1 y.  Nothing left of it changes,
+    so the search for the next one resumes one letter back.
+    """
     word = [~a for a in reversed(u)] + list(v)
     steps = 0
+    i = 0
     while True:
-        spot = None
-        for i in range(len(word) - 1):
-            if word[i] < 0 <= word[i + 1]:
-                spot = i
-                break
-        if spot is None:
-            pos = tuple(a for a in word if a >= 0)
-            neg = tuple(~a for a in reversed(word) if a < 0)
+        last = len(word) - 1
+        while i < last and not word[i] < 0 <= word[i + 1]:
+            i += 1
+        if i >= last:
+            pos = tuple([a for a in word if a >= 0])
+            neg = tuple([~a for a in reversed(word) if a < 0])
             return "reversed", pos, neg, steps
         if steps >= MAX_REVERSE_STEPS:
             return "diverged", None, None, steps
         steps += 1
-        x, y = ~word[spot], word[spot + 1]
-        fxy = entries.get((x, y))
-        fyx = entries.get((y, x))
-        if fxy is None or fyx is None:
+        swap = swaps.get((~word[i], word[i + 1]))
+        if swap is None:
             return "stuck", None, None, steps
-        word[spot : spot + 2] = list(fxy) + [~a for a in reversed(fyx)]
+        word[i : i + 2] = swap
+        if i:
+            i -= 1
 
 
 def reverse_words(table: ComplementTable, u, v) -> ReversalResult:
@@ -283,7 +305,7 @@ def reverse_words(table: ComplementTable, u, v) -> ReversalResult:
     ("diverged").
     """
     pres = table.presentation
-    status, comp_uv, comp_vu, steps = _reverse(table._entries, pres.encode(u), pres.encode(v))
+    status, comp_uv, comp_vu, steps = _reverse(table._swaps, pres.encode(u), pres.encode(v))
     if status == "reversed":
         comp_uv, comp_vu = pres.decode(comp_uv), pres.decode(comp_vu)
     return ReversalResult(status, comp_uv, comp_vu, steps)
@@ -337,7 +359,7 @@ def cube_condition(
     triples = list(permutations(range(len(atoms)), 3))
     if sample is not None and sample < len(triples):
         triples = Random(seed).sample(triples, sample)
-    entries = table._entries
+    entries, swaps = table._entries, table._swaps
     report = CubeReport()
     for x, y, z in triples:
         report.checked += 1
@@ -346,8 +368,8 @@ def cube_condition(
         if fxy is None or fyz is None:
             report.stuck += 1
             continue
-        first, comp_first, _, _ = _reverse(entries, (z,), (x,) + fxy)
-        second, comp_second, _, _ = _reverse(entries, (x,), (y,) + fyz)
+        first, comp_first, _, _ = _reverse(swaps, (z,), (x,) + fxy)
+        second, comp_second, _, _ = _reverse(swaps, (x,), (y,) + fyz)
         if "diverged" in (first, second):
             report.diverged += 1
             continue

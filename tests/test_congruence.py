@@ -1,4 +1,10 @@
+from collections import deque
+from functools import cache
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualbraid import (
     ClassStore,
@@ -12,7 +18,9 @@ from dualbraid import (
     parse_word,
     reverse_words,
 )
-from dualbraid.presentation import alpha, sigma, tau
+from dualbraid import congruence
+from dualbraid.congruence import ReversalResult
+from dualbraid.presentation import Presentation, Relation, alpha, sigma, tau
 
 
 def _store(name, kind="dual"):
@@ -54,8 +62,6 @@ def test_class_sizes_b2():
 
 
 def test_store_rejects_inhomogeneous_input():
-    from dualbraid.presentation import Presentation, Relation
-
     ct = parse_type("B2")
     bad = Presentation(
         ctype=ct,
@@ -171,3 +177,149 @@ def test_cube_condition_sampling_is_deterministic():
     r2 = cube_condition(pres, sample=100, seed=7)
     assert r1.as_dict() == r2.as_dict()
     assert r1.checked == 100
+
+
+def test_store_rejects_one_atom_sides():
+    bad = Presentation(
+        ctype=parse_type("B2"),
+        kind="dual",
+        atoms=(tau(1), tau(2)),
+        relations=(Relation((tau(1),), (tau(2),)),),
+    )
+    with pytest.raises(ValueError, match=r"tau\(1\) = tau\(2\)"):
+        ClassStore(bad)
+
+
+def test_capped_reversal_reports_diverged():
+    pres, _ = _store("B2")
+    table = ComplementTable(pres)
+    u, v = (tau(1),), (tau(2), tau(1))
+    assert reverse_words(table, u, v).steps == 2
+    with mock.patch.object(congruence, "MAX_REVERSE_STEPS", 1):
+        assert reverse_words(table, u, v) == ReversalResult("diverged", None, None, 1)
+
+
+def test_capped_cube_reports_diverged():
+    pres, store = _store("A3")
+    with mock.patch.object(congruence, "MAX_REVERSE_STEPS", 0):
+        report = cube_condition(pres, store=store)
+    assert report.diverged > 0
+    assert not report.ok
+    assert report.passed + report.stuck + report.diverged == report.checked
+
+
+def _reference_reverse(entries, u, v):
+    """Reference right reversing: rescan from the left after every step
+    and look up both complement entries."""
+    word = [~a for a in reversed(u)] + list(v)
+    steps = 0
+    while True:
+        spot = None
+        for i in range(len(word) - 1):
+            if word[i] < 0 <= word[i + 1]:
+                spot = i
+                break
+        if spot is None:
+            pos = tuple(a for a in word if a >= 0)
+            neg = tuple(~a for a in reversed(word) if a < 0)
+            return "reversed", pos, neg, steps
+        if steps >= congruence.MAX_REVERSE_STEPS:
+            return "diverged", None, None, steps
+        steps += 1
+        x, y = ~word[spot], word[spot + 1]
+        fxy = entries.get((x, y))
+        fyx = entries.get((y, x))
+        if fxy is None or fyx is None:
+            return "stuck", None, None, steps
+        word[spot : spot + 2] = list(fxy) + [~a for a in reversed(fyx)]
+
+
+REVERSAL_TABLES = [("completed", "B4"), ("completed", "D4"), ("dual", "B3")]
+
+
+@cache
+def _table(kind, label):
+    return ComplementTable(_store(label, kind)[0])
+
+
+@st.composite
+def reversal_cases(draw):
+    kind, label = draw(st.sampled_from(REVERSAL_TABLES))
+    atoms = _table(kind, label).presentation.atoms
+    word = st.lists(st.sampled_from(atoms), max_size=5).map(tuple)
+    return kind, label, draw(word), draw(word)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(reversal_cases())
+def test_reversal_matches_reference(case):
+    kind, label, u, v = case
+    table = _table(kind, label)
+    pres = table.presentation
+    for cap in (0, 1, 2, 1000):
+        with mock.patch.object(congruence, "MAX_REVERSE_STEPS", cap):
+            status, comp_uv, comp_vu, steps = _reference_reverse(
+                table._entries, pres.encode(u), pres.encode(v)
+            )
+            if status == "reversed":
+                comp_uv, comp_vu = pres.decode(comp_uv), pres.decode(comp_vu)
+            expected = ReversalResult(status, comp_uv, comp_vu, steps)
+            assert reverse_words(table, u, v) == expected
+
+
+def test_one_sided_entry_leaves_reversal_stuck():
+    table = _table("dual", "B3")
+    entries = dict(table._entries)
+    x, y = next((x, y) for x, y in entries if x != y)
+    del entries[(y, x)]
+    swaps = congruence._swap_table(entries)
+    assert (x, y) not in swaps and (y, x) not in swaps
+    expected = _reference_reverse(entries, (x,), (y,))
+    assert expected == ("stuck", None, None, 1)
+    assert congruence._reverse(swaps, (x,), (y,)) == expected
+
+
+def _reference_class(pres, word):
+    """Reference closure: breadth-first, with the rules keyed by the first
+    code of a side and every side compared in full."""
+    rules = {}
+    for rel in pres.relations:
+        lhs, rhs = pres.encode(rel.lhs), pres.encode(rel.rhs)
+        rules.setdefault(lhs[0], []).append((lhs, rhs))
+        rules.setdefault(rhs[0], []).append((rhs, lhs))
+    start = pres.encode(word)
+    seen, queue = {start}, deque([start])
+    while queue:
+        w = queue.popleft()
+        for i, code in enumerate(w):
+            for side, repl in rules.get(code, ()):
+                if w[i : i + len(side)] == side:
+                    nb = w[:i] + repl + w[i + len(side) :]
+                    if nb not in seen:
+                        seen.add(nb)
+                        queue.append(nb)
+    return frozenset(pres.decode(w) for w in seen)
+
+
+# completed B4 has relation sides of 2-4 atoms, completed D5 of 2-5
+CLOSURE_TYPES = ["B4", "D5"]
+
+
+@cache
+def _completed_store(label):
+    return _store(label, "completed")
+
+
+@st.composite
+def closure_words(draw):
+    label = draw(st.sampled_from(CLOSURE_TYPES))
+    atoms = _completed_store(label)[0].atoms
+    return label, tuple(draw(st.lists(st.sampled_from(atoms), max_size=6)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(closure_words())
+def test_class_words_match_first_code_closure(case):
+    label, word = case
+    pres, store = _completed_store(label)
+    assert store.class_words(word) == _reference_class(pres, word)

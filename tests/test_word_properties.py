@@ -39,7 +39,7 @@ def _structures(label):
 def word_pairs(draw):
     label = draw(st.sampled_from(TYPES))
     atoms = _structures(label)[0].atoms
-    length = draw(st.integers(0, 6))
+    length = draw(st.integers(0, 8))
     word = st.lists(st.sampled_from(atoms), min_size=length, max_size=length).map(tuple)
     return label, draw(word), draw(word)
 
