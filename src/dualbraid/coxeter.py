@@ -29,12 +29,15 @@ t = ``reflections[i]``, i in ``among``, with l_T(t x) = l - 1, which is
 all that interval enumeration asks of a model.  It asks only about the
 complements it cannot settle from two parents, c and its lower covers on
 a reflection group, with ``among`` narrowed to the reflections below every
-parent; the model tests each candidate it is given.  Enumeration looks
-complements up by the images of their first max(rank, 2) points, which
-determine an element in every model: the last point of A(n) goes where
-the others leave room, -k goes to the negative of the image of +k in B(n)
-and D(n), a dihedral symmetry is fixed by where it sends two adjacent
-vertices, and the first rank roots of H/F/E are the simple roots, a basis.
+parent; the model tests each candidate it is given.  Interval enumeration
+looks complements up, and the Cayley-graph search marks elements visited,
+by the images of their first max(rank, 2) points, which determine an
+element in every model: the last point of A(n) goes where the others leave
+room, -k goes to the negative of the image of +k in B(n) and D(n), a
+dihedral symmetry is fixed by where it sends two adjacent vertices, and
+the first rank roots of H/F/E are the simple roots, a basis.  The search
+builds a full product only for a new key, one per element, and checks
+that it reaches the group order in keys.
 
 The root model builds its roots exactly, over Z or over the golden ring
 Z[phi] for H3 and H4, and answers its two rank questions from them: the
@@ -88,23 +91,36 @@ class _GroupBase:
         return el
 
     def enumerate_group(self) -> dict:
-        """BFS over the Cayley graph; maps element -> word length ell_S."""
+        """BFS over the Cayley graph; maps element -> word length ell_S.
+
+        An element is marked visited by its first max(rank, 2) images, and
+        u s is built only when its key is new: the key of u s is the images
+        of u's first points under s.  Reaching ``group_order`` distinct
+        keys proves that the key determines an element on the whole group,
+        so the search is the full-tuple one, in the same order.
+        """
+        width = max(self.ctype.rank, 2)
+        mul = self.mul
         depth = {self.identity: 0}
+        seen = {self.identity[:width]}
         frontier = [self.identity]
         d = 0
         while frontier:
             d += 1
             nxt = []
             for u in frontier:
+                head = operator.itemgetter(*u[:width])
                 for s in self.simples:
-                    v = self.mul(u, s)
-                    if v not in depth:
+                    key = head(s)
+                    if key not in seen:
+                        seen.add(key)
+                        v = mul(u, s)
                         depth[v] = d
                         nxt.append(v)
             frontier = nxt
-        if len(depth) != self.ctype.group_order:
+        if len(seen) != self.ctype.group_order:
             raise RuntimeError(
-                f"group {self.ctype}: BFS reached {len(depth)} elements, "
+                f"group {self.ctype}: BFS reached {len(seen)} keys, "
                 f"expected {self.ctype.group_order}"
             )
         return depth

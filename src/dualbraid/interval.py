@@ -23,6 +23,12 @@ set: on a reflection group these are c and its lower covers, 1 + N
 complements for N reflections.  A complement is looked up by the images of
 its first max(rank, 2) points, which determine an element in every model,
 and only the current frontier keeps full complements.
+
+Meets and joins read int bitsets built once from the cover edges: bit i of
+``down_masks[j]`` and bit top - j of ``up_masks[i]`` are set when i lies
+below j, so each mask spans only the part of the order on its own side.
+The lattice check first certifies that the complement maps send covers to
+covers, then compares meets and joins with their complement route.
 """
 
 from __future__ import annotations
@@ -71,6 +77,10 @@ class IntervalPoset:
         self.top = size - 1
         if self.grades.count(self.rank) != 1:
             raise ValueError("top grade is not unique")
+        grades = self.grades
+        for lo, hi in self.cover_edges:
+            if grades[hi] != grades[lo] + 1:
+                raise ValueError(f"cover edge {(lo, hi)} does not join adjacent grades")
         if sorted(self.komp) != list(range(size)):
             raise ValueError("complement map is not a bijection")
         for i, k in enumerate(self.komp):
@@ -115,10 +125,16 @@ class IntervalPoset:
 
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
+        """Bit top - j of up_masks[i] is set iff element i divides element j.
+
+        Counted down from the top, a mask is only as long as the part of
+        the order above its element.
+        """
         masks = [0] * len(self.elements)
         ups = self.covers_up
+        top = self.top
         for i in reversed(range(len(self.elements))):
-            m = 1 << i
+            m = 1 << (top - i)
             for q in ups[i]:
                 m |= masks[q]
             masks[i] = m
@@ -140,15 +156,22 @@ class IntervalPoset:
 
     def meet_index(self, i: int, j: int) -> int:
         cand = self.down_masks[i] & self.down_masks[j]
+        if not cand:
+            raise LatticeError(f"no lower bound for indices {i}, {j}")
+        # the candidate of largest index is the only one that can lie
+        # above all the others
         m = cand.bit_length() - 1
-        if cand & ~self.down_masks[m]:
+        if (cand & self.down_masks[m]) != cand:
             raise LatticeError(f"no unique lower bound for indices {i}, {j}")
         return m
 
     def join_index(self, i: int, j: int) -> int:
         cand = self.up_masks[i] & self.up_masks[j]
-        m = (cand & -cand).bit_length() - 1
-        if cand & ~self.up_masks[m]:
+        if not cand:
+            raise LatticeError(f"no upper bound for indices {i}, {j}")
+        # the highest bit is the candidate of smallest index
+        m = self.top + 1 - cand.bit_length()
+        if (cand & self.up_masks[m]) != cand:
             raise LatticeError(f"no unique upper bound for indices {i}, {j}")
         return m
 
@@ -169,6 +192,8 @@ def enumerate_interval(ctype: CoxType) -> IntervalPoset:
     width = max(ctype.rank, 2)
     # heads[i](x) is the key of t x, t = reflections[i]: (t x)[j] = x[t[j]]
     heads = [operator.itemgetter(*t[:width]) for t in reflections]
+    # products[i](x) is the full t x
+    products = [operator.itemgetter(*t) for t in reflections]
     elements = [group.identity]
     grades = [0]
     # complement key -> index of the element whose complement it is
@@ -199,7 +224,7 @@ def enumerate_interval(ctype: CoxType) -> IntervalPoset:
                     elements.append(mul(u, reflections[i]))
                     grades.append(k + 1)
                     nxt.append(vi)
-                    nxt_comps.append(mul(reflections[i], x) if is_exact else tested[i])
+                    nxt_comps.append(products[i](x) if is_exact else tested[i])
                     nxt_masks.append(found)
                     nxt_exact.append(False)
                 elif nxt_masks[vi - hi] != found:
@@ -327,18 +352,21 @@ def verify_lattice(
     """Check meets and joins pairwise, exhaustively on small posets.
 
     Larger posets get a seeded random sample of pairs.  In both modes the
-    complement map is first certified to reverse the order (cover sweep in
-    both directions), which makes the meet/join cross-route meaningful.
+    complement map is first certified to reverse the order, which makes the
+    meet/join cross-route meaningful: komp and its inverse must send every
+    cover lo < hi to a cover.  Both maps reverse grades and every cover
+    edge joins adjacent grades, so this is exactly komp(hi) <= komp(lo).
+    The first edge that fails is reported as a violation.
     """
     size = len(poset)
+    violations: list = []
     reversal_ok = True
     if poset.order_kind == "absolute":
+        komp, komp_inv, ups = poset.komp, poset.komp_inv, poset.covers_up
         for lo, hi in poset.cover_edges:
-            if not poset.le(poset.komp[hi], poset.komp[lo]):
+            if komp[lo] not in ups[komp[hi]] or komp_inv[lo] not in ups[komp_inv[hi]]:
                 reversal_ok = False
-                break
-            if not poset.le(poset.komp_inv[hi], poset.komp_inv[lo]):
-                reversal_ok = False
+                violations.append((lo, hi, "complement", "cover not reversed"))
                 break
     if size <= exhaustive_limit:
         mode = "exhaustive"
@@ -347,7 +375,6 @@ def verify_lattice(
         mode = "sampled"
         rng = random.Random(seed)
         pair_iter = ((rng.randrange(size), rng.randrange(size)) for _ in range(samples))
-    violations: list = []
     pairs = 0
     for i, j in pair_iter:
         _check_pair(poset, i, j, violations)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from dualbraid import (
@@ -256,16 +258,46 @@ def test_equal_parent_sets_still_go_to_the_model(monkeypatch):
         enumerate_interval(parse_type("A4"))
 
 
+def _full_tuple_search(group):
+    """Cayley-graph BFS that marks whole elements, using mul and simples only."""
+    depth = {group.identity: 0}
+    frontier = [group.identity]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for s in group.simples:
+                v = group.mul(u, s)
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return depth
+
+
 def test_first_images_determine_an_element():
-    # enumerate_interval keys complements by their first max(rank, 2) images
+    # enumerate_interval keys complements, and enumerate_group elements, by
+    # their first max(rank, 2) images; the elements here come from a search
+    # that does not
     for label in TABLE_TYPES:
         ct = parse_type(label)
         if ct.group_order > 60_000:
             continue
         width = max(ct.rank, 2)
-        elements = coxeter_group(ct).enumerate_group()
+        elements = _full_tuple_search(coxeter_group(ct))
+        assert len(elements) == ct.group_order, label
         assert len({el[:width] for el in elements}) == len(elements), label
     assert enumerate_interval(parse_type("A1")).komp == (1, 0)
+
+
+def test_enumerate_group_matches_full_tuple_search():
+    # same elements, depths and insertion order as the whole-element search
+    for label in TABLE_TYPES:
+        ct = parse_type(label)
+        if ct.group_order > 60_000:
+            continue
+        group = coxeter_group(ct)
+        found = list(group.enumerate_group().items())
+        assert found == list(_full_tuple_search(group).items()), label
 
 
 def test_komp_is_grade_reversing_bijection():
@@ -291,6 +323,72 @@ def test_meet_join_b2_examples():
     assert interval_meet(t1, t2, poset) == bottom
     assert interval_meet(a21, a21, poset) == a21
     assert interval_join(t2, bottom, poset) == t2
+
+
+def test_up_masks_count_down_from_the_top():
+    for name in ["A4", "B3", "H3"]:
+        poset = enumerate_interval(parse_type(name))
+        top = poset.top
+        for i, mask in enumerate(poset.up_masks):
+            assert mask.bit_length() <= top - i + 1, name
+            for j in range(len(poset)):
+                assert (mask >> (top - j)) & 1 == poset.le(i, j), (name, i, j)
+
+
+def test_missing_bound_raises_lattice_error():
+    # b is maximal but not the top, so b and t have no upper bound; with
+    # the edge e < b dropped, b and t have no lower bound either
+    poset = IntervalPoset(
+        None, None, "eabt", [0, 1, 1, 2], [(0, 1), (0, 2), (1, 3)], [3, 2, 1, 0], "absolute"
+    )
+    with pytest.raises(LatticeError, match="no upper bound for indices 2, 3"):
+        poset.join_index(2, 3)
+    assert poset.meet_index(2, 3) == 0
+    poset = IntervalPoset(
+        None, None, "eabt", [0, 1, 1, 2], [(0, 1), (1, 3)], [3, 2, 1, 0], "absolute"
+    )
+    with pytest.raises(LatticeError, match="no lower bound for indices 2, 3"):
+        poset.meet_index(2, 3)
+
+
+def test_cover_edges_must_join_adjacent_grades():
+    with pytest.raises(ValueError, match=r"cover edge \(0, 3\)"):
+        IntervalPoset(
+            None, None, "eabt", [0, 1, 1, 2], [(0, 1), (0, 2), (0, 3)], [3, 2, 1, 0], "absolute"
+        )
+
+
+def _reversal_by_le(poset):
+    """The complement reversal check written with ``le`` on both maps."""
+    for lo, hi in poset.cover_edges:
+        if not poset.le(poset.komp[hi], poset.komp[lo]):
+            return False, (lo, hi)
+        if not poset.le(poset.komp_inv[hi], poset.komp_inv[lo]):
+            return False, (lo, hi)
+    return True, None
+
+
+def test_verify_lattice_names_a_cover_the_complement_does_not_reverse():
+    # swap the complements of two atoms; a == b leaves the poset as it is
+    poset = enumerate_interval(parse_type("A3"))
+    atoms = poset.atom_indices
+    failed = 0
+    for a, b in itertools.combinations_with_replacement(atoms, 2):
+        komp = list(poset.komp)
+        komp[a], komp[b] = komp[b], komp[a]
+        mutant = IntervalPoset(
+            poset.ctype, poset.group, poset.elements, poset.grades,
+            poset.cover_edges, komp, "absolute",
+        )
+        report = verify_lattice(mutant)
+        ok, edge = _reversal_by_le(mutant)
+        assert report.complement_reversal_ok == ok, (a, b)
+        assert ok == (a == b), (a, b)
+        if not ok:
+            failed += 1
+            assert not report.ok
+            assert report.violations[0] == (*edge, "complement", "cover not reversed")
+    assert failed == len(atoms) * (len(atoms) - 1) // 2
 
 
 def test_meet_join_are_order_theoretic_bounds():
