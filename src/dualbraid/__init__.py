@@ -31,8 +31,6 @@ from .interval import (
     IntervalPoset,
     LatticeError,
     enumerate_interval,
-    interval_join,
-    interval_meet,
     verify_lattice,
     weak_order_poset,
 )
@@ -79,8 +77,6 @@ __all__ = [
     "group_normal_form",
     "halfturn_fixed_check",
     "halfturn_map",
-    "interval_join",
-    "interval_meet",
     "is_garside_element",
     "normal_form",
     "parse_atom",

@@ -2,8 +2,11 @@
 
 Exit codes: 0 when every requested check passes, 1 on a verification
 failure or an internal failure (a class over its size cap, a broken
-invariant), 2 on usage errors.  Every subcommand takes ``--json`` for
-machine-readable output.
+invariant), 2 on usage errors.  A usage error is a ``ValueError`` (or
+``KeyError``) raised anywhere below :func:`main`, which prints it as one
+``error:`` line: an unknown type, a word outside the alphabet, a sample
+size below one, a ``table1`` run that selects no cell.  Every subcommand
+takes ``--json`` for machine-readable output.
 """
 
 from __future__ import annotations
@@ -94,8 +97,7 @@ def cmd_simples(args) -> int:
         values["interval"] = len(interval.enumerate_interval(ctype))
     if "rewriting" in engines:
         if not ctype.has_explicit_presentation:
-            print(f"rewriting engine needs an explicit presentation; {ctype} has none", file=sys.stderr)
-            return 2
+            raise ValueError(f"rewriting engine needs an explicit presentation; {ctype} has none")
         values["rewriting"] = congruence.count_simples_rewriting(
             presentation.dual_presentation(ctype)
         )
@@ -131,7 +133,8 @@ def _verify_cube(ctype: CoxType, args) -> tuple[dict, bool, list[str]]:
 
 def _verify_lattice(ctype: CoxType, args) -> tuple[dict, bool, list[str]]:
     poset = interval.enumerate_interval(ctype)
-    report = interval.verify_lattice(poset, samples=args.sample or 10_000, seed=args.seed)
+    samples = 10_000 if args.sample is None else args.sample
+    report = interval.verify_lattice(poset, samples=samples, seed=args.seed)
     payload = report.as_dict()
     lines = [
         f"lattice check on {len(poset)} simples of {ctype}: mode {report.mode}, "
@@ -261,7 +264,7 @@ def _nf_data(args) -> tuple[CoxType, garside.GarsideData]:
 def cmd_nf(args) -> int:
     ctype, data = _nf_data(args)
     word = presentation.parse_word(args.word)
-    nf = garside.normal_form(list(word), data)
+    nf = garside.normal_form(word, data)
     payload = {
         "type": str(ctype),
         "word": presentation.render_word(word),
@@ -276,7 +279,7 @@ def cmd_eq(args) -> int:
     ctype, data = _nf_data(args)
     w1 = presentation.parse_word(args.word1)
     w2 = presentation.parse_word(args.word2)
-    equal = garside.equal_in_group(list(w1), list(w2), data)
+    equal = garside.equal_in_group(w1, w2, data)
     payload = {
         "type": str(ctype),
         "words": [presentation.render_word(w1), presentation.render_word(w2)],
@@ -315,16 +318,16 @@ def cmd_table1(args) -> int:
     skip = {s.strip() for s in (args.skip or "").split(",") if s.strip()}
     if not args.full:
         skip |= {"E7", "E8"}
-    rows = []
-    ok = True
+    labels = [
+        label
+        for label in TABLE_TYPES
+        if label not in skip and (args.max_rank is None or parse_type(label).rank <= args.max_rank)
+    ]
+    if not labels:
+        raise ValueError("no table cell selected: every type is skipped or above --max-rank")
     limit = 60_000 if args.full else 5_000
-    for label in TABLE_TYPES:
-        ctype = parse_type(label)
-        if label in skip or (args.max_rank and ctype.rank > args.max_rank):
-            continue
-        cell = _table1_cell(label, limit)
-        rows.append(cell)
-        ok = ok and cell["dual_ok"] and cell["classical_ok"]
+    rows = [_table1_cell(label, limit) for label in labels]
+    ok = all(c["dual_ok"] and c["classical_ok"] for c in rows)
     if args.json:
         print(json.dumps({"rows": rows, "ok": ok}, indent=2, sort_keys=True))
         return 0 if ok else 1

@@ -149,17 +149,15 @@ class ClassStore:
         return atom_ids <= set(left)
 
 
-def is_garside_element(presentation: Presentation, word: Word | None = None) -> bool:
-    """Check the Garside-element law for a word by pure rewriting.
+def is_garside_element(presentation: Presentation) -> bool:
+    """Check the Garside-element law for the presentation's Garside word.
 
-    Defaults to the presentation's own candidate word.  The test is the
-    definition: the left and right divisor sets of the class coincide and
-    contain every atom.
+    The check is pure rewriting, and the test is the definition: the left
+    and right divisor sets of the class coincide and contain every atom.
     """
-    target = word if word is not None else presentation.garside_word
-    if target is None:
+    if presentation.garside_word is None:
         raise ValueError("presentation has no Garside word")
-    return ClassStore(presentation).is_garside_word(target)
+    return ClassStore(presentation).is_garside_word(presentation.garside_word)
 
 
 def count_simples_rewriting(presentation: Presentation) -> int:
@@ -339,7 +337,6 @@ class CubeReport:
 def cube_condition(
     presentation: Presentation,
     table: ComplementTable | None = None,
-    store: ClassStore | None = None,
     sample: int | None = None,
     seed: int = 0,
 ) -> CubeReport:
@@ -349,14 +346,16 @@ def cube_condition(
     y*f(y,z) is completed through x; the two resulting words must name
     the same element, which the congruence oracle decides.  Triples where
     the partial table leaves the reversing stuck are counted separately
-    and prove nothing either way.
+    and prove nothing either way.  With ``sample`` set, a seeded sample of
+    that many triples is checked; a sample size below one is refused.
     """
+    if sample is not None and sample < 1:
+        raise ValueError(f"cube sample size must be at least 1, got {sample}")
     table = table or ComplementTable(presentation)
-    store = store or ClassStore(presentation)
-    atoms = presentation.atoms
-    if table.presentation.atoms != atoms or store.presentation.atoms != atoms:
-        raise ValueError("the table and the store must share the presentation's atoms")
-    triples = list(permutations(range(len(atoms)), 3))
+    if table.presentation.atoms != presentation.atoms:
+        raise ValueError("the table must share the presentation's atoms")
+    store = ClassStore(presentation)
+    triples = list(permutations(range(len(presentation.atoms)), 3))
     if sample is not None and sample < len(triples):
         triples = Random(seed).sample(triples, sample)
     entries, swaps = table._entries, table._swaps

@@ -61,7 +61,6 @@ __all__ = [
     "DihedralGroup",
     "RootGroup",
     "word_image",
-    "signed_perm_matrix",
 ]
 
 
@@ -412,11 +411,3 @@ def word_image(group: _GroupBase, word: Word | Iterable[Atom]):
         el = group.mul(el, group.atom_image(atom))
     return el
 
-
-def signed_perm_matrix(group: SignedPermGroup, el) -> tuple[tuple[int, ...], ...]:
-    """Signed permutation matrix: column i holds the image of +(i + 1)."""
-    n = group.n
-    rows = [[0] * n for _ in range(n)]
-    for i, x in enumerate(el[:n]):
-        rows[x % n][i] = 1 if x < n else -1
-    return tuple(tuple(r) for r in rows)

@@ -5,7 +5,9 @@ generator.  This module builds those signed words literally (no free
 reduction), checks that the dual relations hold under the substitution,
 using the classical Garside engine for the word problem, and conversely
 checks that the classical braid relations are derivable from the completed
-dual presentation by the congruence oracle.
+dual presentation by the congruence oracle.  A dihedral type with parameter
+above ``ORACLE_MAX_DIHEDRAL`` takes the second check through dual normal
+forms instead, since its relation classes grow exponentially in m.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .congruence import ClassStore
-from .coxeter import coxeter_group
 from .coxtypes import CoxType
-from .garside import GarsideData, classical_garside_data, group_normal_form
+from .garside import classical_garside_data, dual_garside_data, equal_in_group, group_normal_form
 from .presentation import (
     Atom,
     Relation,
@@ -25,11 +26,14 @@ from .presentation import (
     classical_presentation,
     completed_dual_presentation,
     dual_atoms,
-    dual_presentation,
     render_word,
     sigma,
     tau,
 )
+
+# limit read at call time: the largest dihedral parameter whose classical
+# relations are checked by the congruence oracle rather than normal forms
+ORACLE_MAX_DIHEDRAL = 8
 
 SignedLetter = tuple[Atom, int]
 SignedWord = tuple[SignedLetter, ...]
@@ -137,14 +141,11 @@ class EmbeddingReport:
         }
 
 
-def verify_dual_relations_in_group(
-    ctype: CoxType, data: GarsideData | None = None
-) -> EmbeddingReport:
+def verify_dual_relations_in_group(ctype: CoxType) -> EmbeddingReport:
     """Map every dual and completed-dual relation through the classical
     words and decide each equality in the Artin group."""
     report = EmbeddingReport("embedding", ctype)
-    if data is None:
-        data = classical_garside_data(ctype)
+    data = classical_garside_data(ctype)
     group = data.group
     completed = completed_dual_presentation(ctype)
 
@@ -187,28 +188,23 @@ def classical_atom_as_dual_word(atom: Atom, ctype: CoxType) -> tuple[Atom, ...]:
     raise ValueError(f"{atom} is not a classical generator of type {ctype}")
 
 
-def verify_classical_from_dual(ctype: CoxType, method: str = "auto") -> EmbeddingReport:
+def verify_classical_from_dual(ctype: CoxType) -> EmbeddingReport:
     """Rewrite each classical relation over dual generators and check that
     it is a consequence of the completed dual presentation.
 
-    The default route is the congruence oracle.  For dihedral types with
-    large parameter the relation words have length m and their congruence
-    classes grow exponentially, so the check switches to dual normal
-    forms there (the two routes are cross-validated at small parameters).
+    The route is the congruence oracle.  For dihedral types with parameter
+    above ``ORACLE_MAX_DIHEDRAL`` the relation words have length m and
+    their congruence classes grow exponentially, so the check uses dual
+    normal forms there (the two routes are cross-validated at small
+    parameters).
     """
-    if method == "auto":
-        method = "engine" if ctype.series == "I2" and ctype.param > 8 else "oracle"
-    if method not in ("oracle", "engine"):
-        raise ValueError(f"unknown method {method!r}")
-    report = EmbeddingReport(f"classical-from-dual-{method}", ctype)
-    if method == "oracle":
-        oracle = ClassStore(completed_dual_presentation(ctype))
-        equivalent = oracle.words_equivalent
-    else:
-        from .garside import dual_garside_data, normal_form
-
+    if ctype.series == "I2" and ctype.param > ORACLE_MAX_DIHEDRAL:
+        report = EmbeddingReport("classical-from-dual-engine", ctype)
         data = dual_garside_data(ctype)
-        equivalent = lambda u, v: normal_form(list(u), data) == normal_form(list(v), data)
+        equivalent = lambda u, v: equal_in_group(u, v, data)
+    else:
+        report = EmbeddingReport("classical-from-dual-oracle", ctype)
+        equivalent = ClassStore(completed_dual_presentation(ctype)).words_equivalent
     for rel in classical_presentation(ctype).relations:
         lhs = tuple(x for a in rel.lhs for x in classical_atom_as_dual_word(a, ctype))
         rhs = tuple(x for a in rel.rhs for x in classical_atom_as_dual_word(a, ctype))

@@ -47,9 +47,6 @@ class GarsideData:
     def _elements(self):
         return self.poset.elements
 
-    def grade(self, i: int) -> int:
-        return self.poset.grades[i]
-
     def product(self, i: int, j: int) -> int | None:
         """Index of the product when grades add and it stays simple."""
         w = self.group.mul(self._elements[i], self._elements[j])
@@ -95,15 +92,16 @@ class GarsideData:
 
     @cached_property
     def atom_labels(self) -> dict[Atom, int] | None:
-        """Atom -> simple index for the explicitly presented series."""
-        try:
-            if self.kind == "dual":
-                atoms = dual_atoms(self.ctype)
-            else:
-                atoms = classical_atoms(self.ctype)
-            return {a: self.poset.atom_index(a) for a in atoms}
-        except (ValueError, KeyError):
+        """Atom -> simple index for the explicitly presented series.
+
+        None for a type without named generators.  An atom whose reflection
+        is not a simple raises ``KeyError``: the poset is corrupt.
+        """
+        if not self.ctype.has_explicit_presentation:
             return None
+        atoms = dual_atoms(self.ctype) if self.kind == "dual" else classical_atoms(self.ctype)
+        index, image = self.poset.index, self.group.atom_image
+        return {a: index[image(a)] for a in atoms}
 
     def simple_word(self, i: int) -> Word:
         """A geodesic atom word for a simple (explicit series only).
@@ -151,9 +149,9 @@ class NormalForm:
             parts.append(render_word(data.simple_word(f)))
         return " . ".join(parts) if parts else "1"
 
-    def as_dict(self, data: GarsideData | None = None) -> dict:
+    def as_dict(self, data: GarsideData) -> dict:
         out = {"delta_power": self.delta_power, "factors": list(self.factors)}
-        if data is not None and data.atom_labels is not None:
+        if data.atom_labels is not None:
             out["factor_words"] = [render_word(data.simple_word(f)) for f in self.factors]
         return out
 
@@ -259,18 +257,12 @@ def group_normal_form(signed_word, data: GarsideData) -> NormalForm:
 
 
 def equal_in_group(w1, w2, data: GarsideData) -> bool:
-    """Decide w1 = w2 in the group of fractions via normal forms."""
-    return group_normal_form(_signed(w1), data) == group_normal_form(_signed(w2), data)
+    """Decide w1 = w2 in the group of fractions for two positive words.
 
-
-def _signed(word) -> list[tuple]:
-    out = []
-    for item in word:
-        if isinstance(item, tuple) and len(item) == 2 and item[1] in (1, -1):
-            out.append(item)
-        else:
-            out.append((item, 1))
-    return out
+    Letters are read as by :func:`normal_form`; signed words go through
+    :func:`group_normal_form`.
+    """
+    return normal_form(w1, data) == normal_form(w2, data)
 
 
 def dual_garside_data(ctype: CoxType) -> GarsideData:

@@ -24,11 +24,14 @@ complements for N reflections.  A complement is looked up by the images of
 its first max(rank, 2) points, which determine an element in every model,
 and only the current frontier keeps full complements.
 
-Meets and joins read int bitsets built once from the cover edges: bit i of
-``down_masks[j]`` and bit top - j of ``up_masks[i]`` are set when i lies
-below j, so each mask spans only the part of the order on its own side.
-The lattice check first certifies that the complement maps send covers to
-covers, then compares meets and joins with their complement route.
+Meets and joins take and return element indices (``poset.index`` maps an
+element to its index).  They read int bitsets built once from the cover
+edges: bit i of ``down_masks[j]`` and bit top - j of ``up_masks[i]`` are
+set when i lies below j, so each mask spans only the part of the order on
+its own side.  The lattice check first certifies that the complement maps
+send covers to covers, then compares meets and joins with their complement
+route, over every pair of a poset of at most ``EXHAUSTIVE_LIMIT`` elements
+and over a seeded sample of pairs of a larger one.
 """
 
 from __future__ import annotations
@@ -42,8 +45,10 @@ from functools import cached_property
 from .coxtypes import CoxType
 from .coxeter import coxeter_group
 
-# limit read at call time: the largest group whose weak order is built
+# limits read at call time: the largest group whose weak order is built,
+# and the largest poset whose lattice check runs over every pair
 WEAK_ORDER_CAP = 50_000
+EXHAUSTIVE_LIMIT = 300
 
 
 class LatticeError(Exception):
@@ -175,10 +180,6 @@ class IntervalPoset:
             raise LatticeError(f"no unique upper bound for indices {i}, {j}")
         return m
 
-    def atom_index(self, atom) -> int:
-        """Index of a named generator's reflection image (explicit series)."""
-        return self.index[self.group.atom_image(atom)]
-
 
 def enumerate_interval(ctype: CoxType) -> IntervalPoset:
     """All elements u with l(u) + l(u^-1 c) = l(c), as a graded poset."""
@@ -276,16 +277,6 @@ def weak_order_poset(ctype: CoxType) -> IntervalPoset:
     return IntervalPoset(ctype, group, elements, grades, edges, komp, "weak")
 
 
-def interval_meet(u, v, poset: IntervalPoset):
-    """Greatest lower bound of two poset elements."""
-    return poset.elements[poset.meet_index(poset.index[u], poset.index[v])]
-
-
-def interval_join(u, v, poset: IntervalPoset):
-    """Least upper bound of two poset elements."""
-    return poset.elements[poset.join_index(poset.index[u], poset.index[v])]
-
-
 @dataclass
 class LatticeReport:
     """Outcome of meet/join verification over a poset."""
@@ -344,21 +335,22 @@ def _check_pair(poset: IntervalPoset, i: int, j: int, violations: list) -> None:
 
 
 def verify_lattice(
-    poset: IntervalPoset,
-    exhaustive_limit: int = 300,
-    samples: int = 10_000,
-    seed: int = 94111,
+    poset: IntervalPoset, samples: int = 10_000, seed: int = 94111
 ) -> LatticeReport:
     """Check meets and joins pairwise, exhaustively on small posets.
 
-    Larger posets get a seeded random sample of pairs.  In both modes the
-    complement map is first certified to reverse the order, which makes the
-    meet/join cross-route meaningful: komp and its inverse must send every
-    cover lo < hi to a cover.  Both maps reverse grades and every cover
-    edge joins adjacent grades, so this is exactly komp(hi) <= komp(lo).
+    Posets of more than ``EXHAUSTIVE_LIMIT`` elements get a seeded random
+    sample of ``samples`` pairs; a sample size below one is refused.  In
+    both modes the complement map is first certified to reverse the order,
+    which makes the meet/join cross-route meaningful: komp and its inverse
+    must send every cover lo < hi to a cover.  Both maps reverse grades and
+    every cover edge joins adjacent grades, so this is exactly
+    komp(hi) <= komp(lo).
     The first edge that fails is reported as a violation.
     """
     size = len(poset)
+    if samples < 1:
+        raise ValueError(f"lattice sample size must be at least 1, got {samples}")
     violations: list = []
     reversal_ok = True
     if poset.order_kind == "absolute":
@@ -368,7 +360,7 @@ def verify_lattice(
                 reversal_ok = False
                 violations.append((lo, hi, "complement", "cover not reversed"))
                 break
-    if size <= exhaustive_limit:
+    if size <= EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
         pair_iter = itertools.combinations_with_replacement(range(size), 2)
     else:

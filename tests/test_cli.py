@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from dualbraid import congruence
-from dualbraid.cli import main
+from dualbraid.cli import TABLE_TYPES, main
 
 
 def run_json(capsys, *argv):
@@ -148,12 +148,53 @@ def test_table1_small(capsys):
 
 def test_usage_errors(capsys):
     assert main(["simples", "count", "Q9"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error: ")
     assert main(["present", "H3"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["simples", "count", "H3", "--engine", "rewriting"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "explicit presentation" in err
     with pytest.raises(SystemExit):
         main(["frobnicate", "B2"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,size",
+    [
+        (["verify", "cube", "B3", "--sample", "0"], "0"),
+        (["verify", "cube", "B3", "--sample", "-3"], "-3"),
+        # A6 has 429 simples, so its lattice check samples pairs
+        (["verify", "lattice", "A6", "--sample", "0"], "0"),
+        (["verify", "lattice", "A6", "--sample", "-5"], "-5"),
+    ],
+)
+def test_sample_below_one_is_a_usage_error(capsys, argv, size):
+    # a sweep over nothing must not report ok
+    assert main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"sample size must be at least 1, got {size}" in captured.err
+
+
+def test_verify_lattice_sample_default_and_explicit(capsys):
+    code, data = run_json(capsys, "verify", "lattice", "A6")
+    assert code == 0 and data["mode"] == "sampled" and data["pairs_checked"] == 10_000
+    code, data = run_json(capsys, "verify", "lattice", "A6", "--sample", "7")
+    assert code == 0 and data["pairs_checked"] == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table1", "--max-rank", "0"], ["table1", "--skip", ",".join(TABLE_TYPES)]],
+    ids=["max-rank-0", "skip-all"],
+)
+def test_table1_selecting_no_cell_is_a_usage_error(capsys, argv):
+    assert main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no table cell selected")
 
 
 def test_internal_failure_exits_1(capsys, monkeypatch):

@@ -95,7 +95,7 @@ def test_is_garside_element():
         assert is_garside_element(pres)
     # a single atom misses the other atoms among its divisors
     pres = completed_dual_presentation(parse_type("B2"))
-    assert not is_garside_element(pres, word=(tau(1),))
+    assert not ClassStore(pres).is_garside_word((tau(1),))
     from dualbraid.presentation import classical_presentation
 
     with pytest.raises(ValueError):
@@ -155,8 +155,8 @@ def test_reverse_words_statuses():
 
 
 def test_cube_condition_dual_a3():
-    pres, store = _store("A3")
-    report = cube_condition(pres, store=store)
+    pres = dual_presentation(parse_type("A3"))
+    report = cube_condition(pres)
     assert report.ok
     assert report.failures == []
     assert report.checked == len(pres.atoms) * (len(pres.atoms) - 1) * (len(pres.atoms) - 2)
@@ -177,6 +177,14 @@ def test_cube_condition_sampling_is_deterministic():
     r2 = cube_condition(pres, sample=100, seed=7)
     assert r1.as_dict() == r2.as_dict()
     assert r1.checked == 100
+
+
+@pytest.mark.parametrize("sample", [0, -3])
+def test_cube_condition_refuses_an_empty_sample(sample):
+    # a sweep over no triples would report ok having checked nothing
+    pres = completed_dual_presentation(parse_type("B3"))
+    with pytest.raises(ValueError, match=f"sample size must be at least 1, got {sample}"):
+        cube_condition(pres, sample=sample)
 
 
 def test_store_rejects_one_atom_sides():
@@ -200,9 +208,9 @@ def test_capped_reversal_reports_diverged():
 
 
 def test_capped_cube_reports_diverged():
-    pres, store = _store("A3")
+    pres = dual_presentation(parse_type("A3"))
     with mock.patch.object(congruence, "MAX_REVERSE_STEPS", 0):
-        report = cube_condition(pres, store=store)
+        report = cube_condition(pres)
     assert report.diverged > 0
     assert not report.ok
     assert report.passed + report.stuck + report.diverged == report.checked

@@ -7,7 +7,6 @@ from dualbraid.coxeter import (
     PermGroup,
     RootGroup,
     SignedPermGroup,
-    signed_perm_matrix,
 )
 from dualbraid.exact import GoldenInt, left_null_basis, matrix_rank
 from dualbraid.presentation import dual_atoms
@@ -102,7 +101,6 @@ def test_refl_length_equals_fixed_space_codimension():
                 # the image of -k is the negative of the image of +k
                 assert all(u[n + i] == (u[i] + n) % (2 * n) for i in range(n))
                 mat = _signed_matrix(u, n)
-                assert [list(r) for r in signed_perm_matrix(group, u)] == mat
             diff = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(mat)]
             assert group.refl_length(u) == matrix_rank(diff), (name, u)
 

@@ -1,5 +1,3 @@
-import pytest
-
 from dualbraid import (
     classical_garside_data,
     coxeter_group,
@@ -9,6 +7,7 @@ from dualbraid import (
     verify_classical_from_dual,
     verify_dual_relations_in_group,
 )
+from dualbraid import embedding
 from dualbraid.embedding import classical_atom_as_dual_word
 from dualbraid.presentation import classical_atoms
 
@@ -62,23 +61,22 @@ def test_classical_atom_images_are_atom_words():
         assert all(a in atom_set for a in word)
 
 
-def test_i2_routes_cross_validate():
+def test_i2_routes_cross_validate(monkeypatch):
     # the oracle route explodes for large dihedral parameters, so the
-    # check switches to the normal-form engine there; both routes must
-    # agree where both run
+    # check switches to the normal-form engine above ORACLE_MAX_DIHEDRAL;
+    # both routes must agree where both run
     for m in [5, 7, 8]:
         ct = parse_type(f"I2({m})")
-        by_oracle = verify_classical_from_dual(ct, method="oracle")
-        by_engine = verify_classical_from_dual(ct, method="engine")
+        by_oracle = verify_classical_from_dual(ct)
+        with monkeypatch.context() as patched:
+            patched.setattr(embedding, "ORACLE_MAX_DIHEDRAL", m - 1)
+            by_engine = verify_classical_from_dual(ct)
+        assert "oracle" in by_oracle.check and "engine" in by_engine.check
         assert by_oracle.ok and by_engine.ok
-    big = verify_classical_from_dual(parse_type("I2(12)"), method="auto")
+        assert by_oracle.relations == by_engine.relations
+    big = verify_classical_from_dual(parse_type("I2(12)"))
     assert big.ok
     assert "engine" in big.check
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        verify_classical_from_dual(parse_type("B2"), method="guesswork")
 
 
 def test_classical_engine_matches_group_projection():

@@ -15,6 +15,7 @@ from dualbraid import (
     parse_word,
 )
 from dualbraid.cli import TABLE_TYPES
+from dualbraid.coxeter import SignedPermGroup
 
 
 def _nf_of_word(word, data):
@@ -96,7 +97,7 @@ def test_equal_in_group():
     w = parse_word("tau(1)*alpha(2,1)")
     assert equal_in_group(u, v, data)
     assert not equal_in_group(u, w, data)
-    assert equal_in_group([(u[0], 1), (u[0], -1)], (), data)
+    assert group_normal_form([(u[0], 1), (u[0], -1)], data) == group_normal_form([], data)
 
 
 def test_concatenation_respects_delta_shift():
@@ -134,7 +135,7 @@ def test_delta_conjugation_tables():
     inv = data.delta_conj_inv
     for i in range(len(data.poset)):
         assert inv[conj[i]] == i
-        assert data.grade(conj[i]) == data.grade(i)
+        assert data.poset.grades[conj[i]] == data.poset.grades[i]
     assert conj[data.delta] == data.delta
     assert conj[data.bottom] == data.bottom
 
@@ -143,7 +144,7 @@ def test_simple_word_round_trip():
     data = dual_garside_data(parse_type("B3"))
     for i in range(len(data.poset)):
         word = data.simple_word(i)
-        assert len(word) == data.grade(i)
+        assert len(word) == data.poset.grades[i]
         indices = data.word_indices(word)
         back = normal_form(indices, data)
         if i == data.delta:
@@ -177,8 +178,9 @@ def test_derived_tables_match_group_arithmetic(kind, label):
     assert data.right_complement == rc
     assert data.delta_conj == conj
     assert data.delta_conj_inv == conj_inv
-    top = data.grade(data.delta)
-    assert all(data.grade(rc[i]) + data.grade(i) == top for i in range(len(data)))
+    grades = data.poset.grades
+    top = grades[data.delta]
+    assert all(grades[rc[i]] + grades[i] == top for i in range(len(data)))
 
 
 def _reference_simple_word(data, i):
@@ -204,3 +206,18 @@ def test_simple_word_matches_quotient_scan(kind, label):
     data = build(parse_type(label))
     for i in range(len(data)):
         assert data.simple_word(i) == _reference_simple_word(data, i)
+
+
+def test_atom_labels_none_only_without_named_generators():
+    assert dual_garside_data(parse_type("H3")).atom_labels is None
+    assert classical_garside_data(parse_type("H3")).atom_labels is None
+    assert len(dual_garside_data(parse_type("B3")).atom_labels) == 9
+
+
+def test_atom_labels_surface_an_atom_outside_the_poset(monkeypatch):
+    # an atom whose reflection is not a simple means a corrupt poset, not
+    # a type without named generators
+    data = dual_garside_data(parse_type("B3"))
+    monkeypatch.setattr(SignedPermGroup, "atom_image", lambda self, atom: (-1,))
+    with pytest.raises(KeyError):
+        data.atom_labels

@@ -7,8 +7,6 @@ from dualbraid import (
     LatticeError,
     coxeter_group,
     enumerate_interval,
-    interval_join,
-    interval_meet,
     parse_type,
     parse_word,
     verify_lattice,
@@ -314,15 +312,13 @@ def test_meet_join_b2_examples():
     ct = parse_type("B2")
     poset = enumerate_interval(ct)
     group = poset.group
-    a21 = word_image(group, parse_word("alpha(2,1)"))
-    t1 = word_image(group, parse_word("tau(1)"))
-    t2 = word_image(group, parse_word("tau(2)"))
-    top = poset.elements[poset.top]
-    bottom = poset.elements[poset.bottom]
-    assert interval_join(a21, t1, poset) == top
-    assert interval_meet(t1, t2, poset) == bottom
-    assert interval_meet(a21, a21, poset) == a21
-    assert interval_join(t2, bottom, poset) == t2
+    a21 = poset.index[word_image(group, parse_word("alpha(2,1)"))]
+    t1 = poset.index[word_image(group, parse_word("tau(1)"))]
+    t2 = poset.index[word_image(group, parse_word("tau(2)"))]
+    assert poset.join_index(a21, t1) == poset.top
+    assert poset.meet_index(t1, t2) == poset.bottom
+    assert poset.meet_index(a21, a21) == a21
+    assert poset.join_index(t2, poset.bottom) == t2
 
 
 def test_up_masks_count_down_from_the_top():
@@ -430,22 +426,23 @@ def test_weak_order_poset_h3():
     assert report.ok, report.as_dict()
 
 
-def test_verify_lattice_counts_the_pairs_it_checked():
+def test_verify_lattice_counts_the_pairs_it_checked(monkeypatch):
     # a bowtie: two atoms below two coatoms, so neither pair has a bound
     edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
     poset = IntervalPoset(
         parse_type("A3"), None, "eabcdt", [0, 1, 1, 2, 2, 3], edges, [5, 3, 4, 1, 2, 0], "weak"
     )
-    report = verify_lattice(poset, exhaustive_limit=0, samples=10_000)
+    monkeypatch.setattr(interval, "EXHAUSTIVE_LIMIT", 0)
+    report = verify_lattice(poset, samples=10_000)
     assert report.mode == "sampled"
     assert not report.ok
     assert len(report.violations) == 21
     checked = report.pairs_checked
     assert checked < 10_000
     # the same seed over exactly that many pairs stops on the last one
-    again = verify_lattice(poset, exhaustive_limit=0, samples=checked)
+    again = verify_lattice(poset, samples=checked)
     assert again.pairs_checked == checked and len(again.violations) == 21
-    fewer = verify_lattice(poset, exhaustive_limit=0, samples=checked - 1)
+    fewer = verify_lattice(poset, samples=checked - 1)
     assert fewer.pairs_checked == checked - 1 and len(fewer.violations) < 21
 
 
@@ -476,5 +473,14 @@ def test_lattice_error_for_elements_outside_interval():
         if el not in set(poset.elements):
             w0 = el
             break
-    with pytest.raises((LatticeError, KeyError, ValueError)):
-        interval_meet(w0, poset.elements[poset.top], poset)
+    assert w0 is not None
+    # meets and joins take indices, and the longest element has none
+    assert w0 not in poset.index
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_verify_lattice_refuses_an_empty_sample(samples):
+    # a check over no pairs would report ok having checked nothing
+    poset = enumerate_interval(parse_type("A6"))
+    with pytest.raises(ValueError, match=f"sample size must be at least 1, got {samples}"):
+        verify_lattice(poset, samples=samples)
