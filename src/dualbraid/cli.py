@@ -5,8 +5,9 @@ failure or an internal failure (a class over its size cap, a broken
 invariant), 2 on usage errors.  A usage error is a ``ValueError`` (or
 ``KeyError``) raised anywhere below :func:`main`, which prints it as one
 ``error:`` line: an unknown type, a word outside the alphabet, a sample
-size below one, a ``table1`` run that selects no cell.  Every subcommand
-takes ``--json`` for machine-readable output.
+size below one, a ``table1`` run that selects no cell or skips a label
+that is not a cell.  Every subcommand takes ``--json`` for
+machine-readable output.
 """
 
 from __future__ import annotations
@@ -91,13 +92,13 @@ def cmd_simples(args) -> int:
     engines = (
         ["interval", "rewriting", "formula"] if args.engine == "all" else [args.engine, "formula"]
     )
+    if "rewriting" in engines and not ctype.has_explicit_presentation:
+        raise ValueError(f"rewriting engine needs an explicit presentation; {ctype} has none")
     if "formula" in engines:
         values["formula"] = ctype.simples_count
     if "interval" in engines:
         values["interval"] = len(interval.enumerate_interval(ctype))
     if "rewriting" in engines:
-        if not ctype.has_explicit_presentation:
-            raise ValueError(f"rewriting engine needs an explicit presentation; {ctype} has none")
         values["rewriting"] = congruence.count_simples_rewriting(
             presentation.dual_presentation(ctype)
         )
@@ -316,6 +317,9 @@ def _table1_cell(label: str, enumerate_classical_limit: int) -> dict:
 
 def cmd_table1(args) -> int:
     skip = {s.strip() for s in (args.skip or "").split(",") if s.strip()}
+    unknown = sorted(skip.difference(TABLE_TYPES))
+    if unknown:
+        raise ValueError(f"--skip names no table cell: {', '.join(unknown)}")
     if not args.full:
         skip |= {"E7", "E8"}
     labels = [

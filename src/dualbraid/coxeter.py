@@ -29,15 +29,32 @@ t = ``reflections[i]``, i in ``among``, with l_T(t x) = l - 1, which is
 all that interval enumeration asks of a model.  It asks only about the
 complements it cannot settle from two parents, c and its lower covers on
 a reflection group, with ``among`` narrowed to the reflections below every
-parent; the model tests each candidate it is given.  Interval enumeration
-looks complements up, and the Cayley-graph search marks elements visited,
-by the images of their first max(rank, 2) points, which determine an
-element in every model: the last point of A(n) goes where the others leave
-room, -k goes to the negative of the image of +k in B(n) and D(n), a
-dihedral symmetry is fixed by where it sends two adjacent vertices, and
-the first rank roots of H/F/E are the simple roots, a basis.  The search
-builds a full product only for a new key, one per element, and checks
-that it reaches the group order in keys.
+parent; the model tests each candidate it is given.
+
+The two searches, the Cayley-graph search here and interval enumeration,
+compute on codes.  ``codec`` is a triple (code, pad, act) with
+act(code(u), code(v) + pad) equal to code(mul(u, v)).  When every point
+index fits in a byte, that is with at most 256 points (every model but
+I2(m) for m > 256, A(n) for n > 255 and B(n), D(n) for n > 128), a code
+is a byte string
+and act is ``bytes.translate``, whose 256-byte table is code(v) followed by
+the unused byte values ``pad``: a product is one C call that builds no
+tuple.  Otherwise a code is the image tuple itself, pad is empty and act
+is ``mul``.  Either way one loop serves both branches:
+
+>>> code, pad, act = coxeter_group(parse_type("A2")).codec
+>>> uv = act(code((1, 0, 2)), code((0, 2, 1)) + pad)
+>>> uv, tuple(uv)
+(b'\\x02\\x00\\x01', (2, 0, 1))
+
+The Cayley-graph search multiplies the whole frontier by each simple
+reflection in C and decodes its codes to tuples once at the end.  Interval
+enumeration looks complements up by the images of their first
+max(rank, 2) points, which determine an element in every model: the last
+point of A(n) goes where the others leave room, -k goes to the negative of
+the image of +k in B(n) and D(n), a dihedral symmetry is fixed by where it
+sends two adjacent vertices, and the first rank roots of H/F/E are the
+simple roots, a basis.
 
 The root model builds its roots exactly, over Z or over the golden ring
 Z[phi] for H3 and H4, and answers its two rank questions from them: the
@@ -48,6 +65,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
+from itertools import chain, filterfalse, repeat
 from typing import Iterable
 
 from .coxtypes import CoxType
@@ -89,40 +107,45 @@ class _GroupBase:
             el = self.mul(el, s)
         return el
 
+    @cached_property
+    def codec(self):
+        """(code, pad, act): act(code(u), code(v) + pad) is code(mul(u, v)).
+
+        Byte strings and ``bytes.translate`` when every point index fits
+        in a byte, image tuples and ``mul`` otherwise (see the module
+        docstring).
+        """
+        points = len(self.identity)
+        if points <= 256:
+            return bytes, bytes(range(points, 256)), bytes.translate
+        return tuple, (), self.mul
+
     def enumerate_group(self) -> dict:
         """BFS over the Cayley graph; maps element -> word length ell_S.
 
-        An element is marked visited by its first max(rank, 2) images, and
-        u s is built only when its key is new: the key of u s is the images
-        of u's first points under s.  Reaching ``group_order`` distinct
-        keys proves that the key determines an element on the whole group,
-        so the search is the full-tuple one, in the same order.
+        A frontier is multiplied by every simple reflection with the
+        ``codec`` act, in C, and the products new to the search form the
+        next frontier in discovery order: by frontier element, then by
+        simple.  Codes are decoded to tuples once, at the end.
         """
-        width = max(self.ctype.rank, 2)
-        mul = self.mul
-        depth = {self.identity: 0}
-        seen = {self.identity[:width]}
-        frontier = [self.identity]
+        code, pad, act = self.codec
+        tables = [code(s) + pad for s in self.simples]
+        frontier = [code(self.identity)]
+        depth = dict.fromkeys(frontier, 0)
         d = 0
         while frontier:
             d += 1
-            nxt = []
-            for u in frontier:
-                head = operator.itemgetter(*u[:width])
-                for s in self.simples:
-                    key = head(s)
-                    if key not in seen:
-                        seen.add(key)
-                        v = mul(u, s)
-                        depth[v] = d
-                        nxt.append(v)
-            frontier = nxt
-        if len(seen) != self.ctype.group_order:
+            products = chain.from_iterable(
+                zip(*(map(act, frontier, repeat(table)) for table in tables))
+            )
+            frontier = list(dict.fromkeys(filterfalse(depth.__contains__, products)))
+            depth.update(zip(frontier, repeat(d)))
+        if len(depth) != self.ctype.group_order:
             raise RuntimeError(
-                f"group {self.ctype}: BFS reached {len(seen)} keys, "
+                f"group {self.ctype}: BFS reached {len(depth)} elements, "
                 f"expected {self.ctype.group_order}"
             )
-        return depth
+        return dict(zip(map(tuple, depth), depth.values()))
 
     def shortenings(self, x, length: int, among):
         """Pairs (i, t x) over the reflections t = reflections[i] below x.

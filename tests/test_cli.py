@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from dualbraid import congruence
+from dualbraid import congruence, interval
 from dualbraid.cli import TABLE_TYPES, main
 
 
@@ -195,6 +195,25 @@ def test_table1_selecting_no_cell_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: no table cell selected")
+
+
+def test_table1_skip_of_an_unknown_label_is_a_usage_error(capsys):
+    # a mistyped label would otherwise run the cell it was meant to skip
+    assert main(["table1", "--max-rank", "2", "--skip", "A9,B2", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --skip names no table cell: A9\n"
+
+
+def test_simples_usage_error_comes_before_the_interval(capsys, monkeypatch):
+    # E8 has 25,080 simples, and the rewriting engine refuses E8 anyway
+    def refuse(ctype):
+        raise AssertionError(f"enumerated the interval of {ctype}")
+
+    monkeypatch.setattr(interval, "enumerate_interval", refuse)
+    assert main(["simples", "count", "E8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "explicit presentation" in err
 
 
 def test_internal_failure_exits_1(capsys, monkeypatch):

@@ -105,6 +105,18 @@ def test_refl_length_equals_fixed_space_codimension():
             assert group.refl_length(u) == matrix_rank(diff), (name, u)
 
 
+def test_codec_products_are_mul():
+    # byte codes while every point index fits in a byte, tuples beyond
+    for name, kind in [("E8", bytes), ("I2(256)", bytes), ("I2(257)", tuple)]:
+        group = coxeter_group(parse_type(name))
+        code, pad, act = group.codec
+        assert code is kind, name
+        u, v = group.coxeter_element, group.simples[0]
+        assert type(act(code(u), code(v) + pad)) is kind
+        assert tuple(act(code(u), code(v) + pad)) == group.mul(u, v), name
+        assert tuple(act(code(v), code(u) + pad)) == group.mul(v, u), name
+
+
 def test_dihedral_rotations_and_reflections():
     for m in range(3, 13):
         group = coxeter_group(parse_type(f"I2({m})"))

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import pytest
@@ -298,6 +299,41 @@ def test_enumerate_group_matches_full_tuple_search():
         assert found == list(_full_tuple_search(group).items()), label
 
 
+def test_tuple_codec_beyond_256_points():
+    # I2(300) acts on 300 vertices, more than a byte indexes, so both
+    # searches multiply image tuples
+    ct = parse_type("I2(300)")
+    group = coxeter_group(ct)
+    assert group.codec[0] is tuple
+    found = list(group.enumerate_group().items())
+    assert len(found) == 600
+    assert found == list(_full_tuple_search(group).items())
+    poset = enumerate_interval(ct)
+    assert poset.group.codec[0] is tuple
+    assert len(poset) == 302
+    assert verify_lattice(poset).ok
+
+
+def test_tuple_codec_matches_byte_codec(monkeypatch):
+    # the same searches on a model forced onto image tuples
+    for name in ["A4", "B4", "D5", "H3", "F4", "E6"]:
+        ct = parse_type(name)
+        group = coxeter_group(ct)
+        assert group.codec[0] is bytes, name
+        forced = coxeter_group(ct)
+        forced.codec = (tuple, (), forced.mul)
+        found = list(forced.enumerate_group().items())
+        assert found == list(group.enumerate_group().items()), name
+        by_bytes = enumerate_interval(ct)
+        monkeypatch.setattr(interval, "coxeter_group", lambda ctype: forced)
+        by_tuples = enumerate_interval(ct)
+        monkeypatch.undo()
+        assert by_tuples.group is forced and by_bytes.group is not forced
+        assert by_tuples.elements == by_bytes.elements, name
+        assert by_tuples.cover_edges == by_bytes.cover_edges, name
+        assert by_tuples.komp == by_bytes.komp, name
+
+
 def test_komp_is_grade_reversing_bijection():
     poset = enumerate_interval(parse_type("B3"))
     n = poset.grades[poset.top]
@@ -410,6 +446,21 @@ def test_verify_lattice_small_types():
         assert report.ok, report.as_dict()
         assert report.mode == "exhaustive"
         assert report.violations == []
+
+
+def test_verify_lattice_catches_any_cleared_mask_bit():
+    # the meet and the join each read one kind of mask, and the check pits
+    # them against each other, against le and against the complement route;
+    # self bits included, 1,386 mutants
+    for name in ["A4", "B3", "D4"]:
+        base = enumerate_interval(parse_type(name))
+        cached = {"down_masks": base.down_masks, "up_masks": base.up_masks}
+        for attr, masks in cached.items():
+            for j, mask in enumerate(masks):
+                for b in interval._bits(mask):
+                    mutant = copy.copy(base)
+                    setattr(mutant, attr, masks[:j] + (mask & ~(1 << b),) + masks[j + 1:])
+                    assert not verify_lattice(mutant).ok, (name, attr, j, b)
 
 
 def test_verify_lattice_sampling_mode():
