@@ -48,13 +48,14 @@ is ``mul``.  Either way one loop serves both branches:
 (b'\\x02\\x00\\x01', (2, 0, 1))
 
 The Cayley-graph search multiplies the whole frontier by each simple
-reflection in C and decodes its codes to tuples once at the end.  Interval
-enumeration looks complements up by the images of their first
-max(rank, 2) points, which determine an element in every model: the last
-point of A(n) goes where the others leave room, -k goes to the negative of
-the image of +k in B(n) and D(n), a dihedral symmetry is fixed by where it
-sends two adjacent vertices, and the first rank roots of H/F/E are the
-simple roots, a basis.
+reflection in C and keeps its codes: it returns a mapping that decodes an
+element to its tuple only when the element is read, so its length costs
+no decoding.  Interval enumeration looks complements up by the images of
+their first max(rank, 2) points, which determine an element in every
+model: the last point of A(n) goes where the others leave room, -k goes to
+the negative of the image of +k in B(n) and D(n), a dihedral symmetry is
+fixed by where it sends two adjacent vertices, and the first rank roots of
+H/F/E are the simple roots, a basis.
 
 The root model builds its roots exactly, over Z or over the golden ring
 Z[phi] for H3 and H4, and answers its two rank questions from them: the
@@ -64,6 +65,7 @@ reflection length, and the moved-space test behind its ``shortenings``.
 from __future__ import annotations
 
 import operator
+from collections.abc import ItemsView, Mapping
 from functools import cached_property
 from itertools import chain, filterfalse, repeat
 from typing import Iterable
@@ -73,6 +75,7 @@ from .exact import GoldenInt, left_null_basis, matrix_rank
 from .presentation import Atom, Word
 
 __all__ = [
+    "CodeDepths",
     "coxeter_group",
     "PermGroup",
     "SignedPermGroup",
@@ -120,13 +123,14 @@ class _GroupBase:
             return bytes, bytes(range(points, 256)), bytes.translate
         return tuple, (), self.mul
 
-    def enumerate_group(self) -> dict:
+    def enumerate_group(self) -> CodeDepths:
         """BFS over the Cayley graph; maps element -> word length ell_S.
 
         A frontier is multiplied by every simple reflection with the
         ``codec`` act, in C, and the products new to the search form the
         next frontier in discovery order: by frontier element, then by
-        simple.  Codes are decoded to tuples once, at the end.
+        simple.  The result keeps the codes and decodes an element to its
+        image tuple only where one is read (see ``CodeDepths``).
         """
         code, pad, act = self.codec
         tables = [code(s) + pad for s in self.simples]
@@ -145,7 +149,7 @@ class _GroupBase:
                 f"group {self.ctype}: BFS reached {len(depth)} elements, "
                 f"expected {self.ctype.group_order}"
             )
-        return dict(zip(map(tuple, depth), depth.values()))
+        return CodeDepths(code, depth)
 
     def shortenings(self, x, length: int, among):
         """Pairs (i, t x) over the reflections t = reflections[i] below x.
@@ -160,6 +164,44 @@ class _GroupBase:
             tx = self.mul(self.reflections[i], x)
             if self.refl_length(tx) == length - 1:
                 yield i, tx
+
+
+class CodeDepths(Mapping):
+    """Element -> word length, held as ``codec`` codes.
+
+    ``codes`` maps each code to its length in discovery order.  Iteration
+    decodes the codes to image tuples as it goes, a lookup encodes the
+    tuple it is given, and ``len`` decodes nothing.  A key that is no
+    tuple of points is simply absent.
+    """
+
+    def __init__(self, code, codes: dict):
+        self._code = code
+        self.codes = codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        return map(tuple, self.codes)
+
+    def __getitem__(self, u) -> int:
+        try:
+            return self.codes[self._code(u)]
+        except (TypeError, ValueError):
+            raise KeyError(u) from None
+
+    def items(self):
+        return _CodeDepthItems(self)
+
+    def values(self):
+        return self.codes.values()
+
+
+class _CodeDepthItems(ItemsView):
+    def __iter__(self):
+        codes = self._mapping.codes
+        return zip(map(tuple, codes), codes.values())
 
 
 def _swapping(size: int, pairs) -> tuple[int, ...]:

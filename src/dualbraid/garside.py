@@ -39,26 +39,25 @@ class GarsideData:
         self.group = poset.group
         self.bottom = poset.bottom
         self.delta = poset.top
+        # products run on the poset's codec codes, as in its enumeration
+        self._code, self._pad, self._act = self.group.codec
 
     def __len__(self) -> int:
         return len(self.poset)
 
-    @cached_property
-    def _elements(self):
-        return self.poset.elements
-
     def product(self, i: int, j: int) -> int | None:
         """Index of the product when grades add and it stays simple."""
-        w = self.group.mul(self._elements[i], self._elements[j])
-        k = self.poset.index.get(w)
+        codes = self.poset.codes
+        k = self.poset.code_index.get(self._act(codes[i], codes[j] + self._pad))
         if k is None or self.poset.grades[k] != self.poset.grades[i] + self.poset.grades[j]:
             return None
         return k
 
     def left_quotient(self, i: int, j: int) -> int | None:
         """Index of z with i * z = j and grades additive, if it exists."""
-        w = self.group.mul(self.group.inv(self._elements[i]), self._elements[j])
-        k = self.poset.index.get(w)
+        codes = self.poset.codes
+        inv = self._code(self.group.inv(codes[i]))
+        k = self.poset.code_index.get(self._act(inv, codes[j] + self._pad))
         if k is None or self.poset.grades[i] + self.poset.grades[k] != self.poset.grades[j]:
             return None
         return k
@@ -100,8 +99,15 @@ class GarsideData:
         if not self.ctype.has_explicit_presentation:
             return None
         atoms = dual_atoms(self.ctype) if self.kind == "dual" else classical_atoms(self.ctype)
-        index, image = self.poset.index, self.group.atom_image
-        return {a: index[image(a)] for a in atoms}
+        index, image = self.poset.code_index, self.group.atom_image
+        labels = {}
+        for a in atoms:
+            el = image(a)
+            try:
+                labels[a] = index[self._code(el)]
+            except ValueError:  # no byte code: not a group element at all
+                raise KeyError(el) from None
+        return labels
 
     def simple_word(self, i: int) -> Word:
         """A geodesic atom word for a simple (explicit series only).

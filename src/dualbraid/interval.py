@@ -24,8 +24,10 @@ complements for N reflections.  A complement is looked up by the images of
 its first max(rank, 2) points, which determine an element in every model,
 and only the current frontier keeps full complements.  Elements and
 complements are held as the group's ``codec`` codes (byte strings for at
-most 256 points, image tuples beyond), so that each product is one C call;
-the poset receives image tuples.
+most 256 points, image tuples beyond), so that each product is one C call,
+and the poset keeps the codes: ``poset.codes`` and ``poset.code_index``
+are what the engines read, and ``poset.elements`` and ``poset.index``
+decode them to image tuples on first read.
 
 Meets and joins take and return element indices (``poset.index`` maps an
 element to its index).  They read int bitsets built once from the cover
@@ -63,19 +65,25 @@ class IntervalPoset:
     Elements are group elements indexed in grade-monotone order.  The
     ``komp`` array sends index i to the index of the left complement
     (the element x with u * x = top), which reverses the grading.
+
+    The elements are stored as the group's ``codec`` codes, which the
+    engines multiply and look up (``codes``, ``code_index``); image tuples
+    are decoded only when ``elements`` or ``index`` is read.  Without a
+    group, the elements are kept as given.
     """
 
     def __init__(self, ctype, group, elements, grades, cover_edges, komp, order_kind):
         self.ctype = ctype
         self.group = group
-        self.elements = tuple(elements)
+        # code() of a code is the code itself, so codes pass through
+        self.codes = tuple(elements if group is None else map(group.codec[0], elements))
         self.grades = tuple(grades)
         self.cover_edges = tuple(cover_edges)
         self.komp = tuple(komp)
         self.order_kind = order_kind
-        self.index = {el: i for i, el in enumerate(self.elements)}
-        size = len(self.elements)
-        if len(self.index) != size:
+        self.code_index = dict(zip(self.codes, range(len(self.codes))))
+        size = len(self.codes)
+        if len(self.code_index) != size:
             raise ValueError("duplicate elements in poset")
         if any(self.grades[i] > self.grades[i + 1] for i in range(size - 1)):
             raise ValueError("element order must be grade-monotone")
@@ -95,25 +103,37 @@ class IntervalPoset:
                 raise ValueError("complement map does not reverse the grading")
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The elements as image tuples (as given, without a group)."""
+        if self.group is None:
+            return self.codes
+        return tuple(map(tuple, self.codes))
+
+    @cached_property
+    def index(self) -> dict:
+        """Element (image tuple) -> index."""
+        return dict(zip(self.elements, range(len(self))))
 
     @cached_property
     def komp_inv(self) -> tuple[int, ...]:
-        inv = [0] * len(self.elements)
+        inv = [0] * len(self)
         for i, k in enumerate(self.komp):
             inv[k] = i
         return tuple(inv)
 
     @cached_property
     def covers_up(self) -> tuple[tuple[int, ...], ...]:
-        ups: list[list[int]] = [[] for _ in self.elements]
+        ups: list[list[int]] = [[] for _ in range(len(self))]
         for lo, hi in self.cover_edges:
             ups[lo].append(hi)
         return tuple(tuple(u) for u in ups)
 
     @cached_property
     def covers_down(self) -> tuple[tuple[int, ...], ...]:
-        downs: list[list[int]] = [[] for _ in self.elements]
+        downs: list[list[int]] = [[] for _ in range(len(self))]
         for lo, hi in self.cover_edges:
             downs[hi].append(lo)
         return tuple(tuple(d) for d in downs)
@@ -121,9 +141,9 @@ class IntervalPoset:
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
         """Bit i of down_masks[j] is set iff element i divides element j."""
-        masks = [0] * len(self.elements)
+        masks = [0] * len(self)
         downs = self.covers_down
-        for i in range(len(self.elements)):
+        for i in range(len(self)):
             m = 1 << i
             for p in downs[i]:
                 m |= masks[p]
@@ -137,10 +157,10 @@ class IntervalPoset:
         Counted down from the top, a mask is only as long as the part of
         the order above its element.
         """
-        masks = [0] * len(self.elements)
+        masks = [0] * len(self)
         ups = self.covers_up
         top = self.top
-        for i in reversed(range(len(self.elements))):
+        for i in reversed(range(len(self))):
             m = 1 << (top - i)
             for q in ups[i]:
                 m |= masks[q]
@@ -187,8 +207,8 @@ def enumerate_interval(ctype: CoxType) -> IntervalPoset:
     """All elements u with l(u) + l(u^-1 c) = l(c), as a graded poset.
 
     Elements and complements are kept as ``group.codec`` codes and every
-    product is one ``act``; the poset gets image tuples, and so do the
-    model's ``refl_length`` and ``shortenings``.
+    product is one ``act``; the poset keeps the codes, and the model's
+    ``refl_length`` and ``shortenings`` get image tuples.
     """
     group = coxeter_group(ctype)
     code, pad, act = group.codec
@@ -247,7 +267,7 @@ def enumerate_interval(ctype: CoxType) -> IntervalPoset:
     komp = [0] * len(elements)
     for j, el in enumerate(elements):
         komp[index_by_key[el[:width]]] = j
-    return IntervalPoset(ctype, group, map(tuple, elements), grades, edges, komp, "absolute")
+    return IntervalPoset(ctype, group, elements, grades, edges, komp, "absolute")
 
 
 def _bits(mask: int):
@@ -270,20 +290,22 @@ def weak_order_poset(ctype: CoxType) -> IntervalPoset:
             f"group order {ctype.group_order} exceeds the classical guard {WEAK_ORDER_CAP}"
         )
     group = coxeter_group(ctype)
-    depth = group.enumerate_group()
+    code, pad, act = group.codec
+    # codes of equal length sort as their image tuples do
+    depth = group.enumerate_group().codes
     ordered = sorted(depth.items(), key=lambda kv: (kv[1], kv[0]))
     elements = [el for el, _ in ordered]
     grades = [g for _, g in ordered]
     index = {el: i for i, el in enumerate(elements)}
+    tables = [code(s) + pad for s in group.simples]
     edges = []
     for vi, (v, g) in enumerate(ordered):
-        for s in group.simples:
-            u = group.mul(v, s)
-            gu = depth[u]
-            if gu == g - 1:
+        for table in tables:
+            u = act(v, table)
+            if depth[u] == g - 1:
                 edges.append((index[u], vi))
-    w0 = elements[-1]
-    komp = tuple(index[group.mul(group.inv(el), w0)] for el in elements)
+    w0 = elements[-1] + pad
+    komp = tuple(index[act(code(group.inv(el)), w0)] for el in elements)
     return IntervalPoset(ctype, group, elements, grades, edges, komp, "weak")
 
 

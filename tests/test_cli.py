@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dualbraid
 from dualbraid import congruence, interval
 from dualbraid.cli import TABLE_TYPES, main
 
@@ -11,6 +15,20 @@ def run_json(capsys, *argv):
     code = main(list(argv) + ["--json"])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(dualbraid.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualbraid", "table1", "--max-rank", "2"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "all cells pass: True" in proc.stdout
 
 
 def test_present_dual_json(capsys):

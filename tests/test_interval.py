@@ -6,15 +6,18 @@ import pytest
 from dualbraid import (
     IntervalPoset,
     LatticeError,
+    classical_garside_data,
     coxeter_group,
+    dual_garside_data,
     enumerate_interval,
+    group_normal_form,
     parse_type,
     parse_word,
     verify_lattice,
     weak_order_poset,
     word_image,
 )
-from dualbraid import interval
+from dualbraid import coxeter, interval
 from dualbraid.cli import TABLE_TYPES
 from dualbraid.exact import GoldenInt, matrix_rank
 
@@ -274,9 +277,8 @@ def _full_tuple_search(group):
 
 
 def test_first_images_determine_an_element():
-    # enumerate_interval keys complements, and enumerate_group elements, by
-    # their first max(rank, 2) images; the elements here come from a search
-    # that does not
+    # enumerate_interval keys complements by their first max(rank, 2)
+    # images; the elements here come from a search that does not
     for label in TABLE_TYPES:
         ct = parse_type(label)
         if ct.group_order > 60_000:
@@ -332,6 +334,57 @@ def test_tuple_codec_matches_byte_codec(monkeypatch):
         assert by_tuples.elements == by_bytes.elements, name
         assert by_tuples.cover_edges == by_bytes.cover_edges, name
         assert by_tuples.komp == by_bytes.komp, name
+
+
+def test_enumerate_group_reads_like_a_dict():
+    # the search keeps codes: a read decodes, a lookup encodes, on byte
+    # codes (B4) and on tuple codes (I2(300))
+    for label in ["B4", "I2(300)"]:
+        group = coxeter_group(parse_type(label))
+        found = group.enumerate_group()
+        reference = _full_tuple_search(group)
+        assert list(found.items()) == list(reference.items()), label
+        assert list(found) == list(reference), label
+        assert list(found.values()) == list(reference.values()), label
+        assert len(found) == len(reference) and found == reference, label
+        u = group.coxeter_element
+        assert u in found and found[u] == reference[u], label
+        assert (u, reference[u]) in found.items(), label
+        # keys that encode to no code at all are absent, like any other
+        for bad in [(-1,), (256,) * len(u), ("x",)]:
+            assert bad not in found, (label, bad)
+            with pytest.raises(KeyError):
+                found[bad]
+            assert found.get(bad) is None, (label, bad)
+
+
+def test_engines_decode_no_element_they_do_not_read(monkeypatch):
+    # E8's 25,080 simples stay codes through the masks and the lattice check
+    poset = enumerate_interval(parse_type("E8"))
+    poset.down_masks, poset.up_masks
+    assert verify_lattice(poset, samples=100).ok
+    assert "elements" not in poset.__dict__ and "index" not in poset.__dict__
+    # so do the Garside tables and normal forms, dual and classical
+    for data in [dual_garside_data(parse_type("B4")), classical_garside_data(parse_type("B3"))]:
+        data.right_complement, data.delta_conj, data.delta_conj_inv
+        atoms = list(data.atom_labels)
+        nf = group_normal_form([(a, (-1) ** k) for k, a in enumerate(atoms * 2)], data)
+        nf.as_dict(data)
+        assert "elements" not in data.poset.__dict__, data.kind
+        assert "index" not in data.poset.__dict__, data.kind
+    # counting E6's 51,840 elements decodes none of them
+    decoded = []
+
+    def spy(*args):
+        decoded.append(args)
+        return tuple(*args)
+
+    group = coxeter_group(parse_type("E6"))
+    monkeypatch.setattr(coxeter, "tuple", spy, raising=False)
+    depths = group.enumerate_group()
+    assert len(depths) == 51_840 and decoded == []
+    next(iter(depths))
+    assert len(decoded) == 1
 
 
 def test_komp_is_grade_reversing_bijection():
