@@ -1,22 +1,36 @@
 """Concrete models of the finite Coxeter groups.
 
-Every model encodes an element the same way: as the 0-based tuple p of
-the images of a fixed point set, p[i] being the image of point i.  The
-point sets are the n + 1 points of A(n); the 2n signed points of B(n) and
-D(n), where +k is point k - 1 and -k is point n + k - 1; the m vertices
-of the m-gon for I2(m), on which the reflection s_k sends i to k - i
-mod m (faithful because m >= 3); and the roots of H3, H4, F4, E6, E7 and
-E8.  So one ``mul``, ``inv``, Cayley-graph search and ``shortenings``
-serve every type, and a model supplies only its simples, reflections,
-``refl_length`` and ``atom_image``.  For example, tau(1) of B2 swaps +1
-(point 0) with -1 (point 2), and the Coxeter element of I2(5) is the
-rotation i -> i - 1:
+Every model encodes an element the same way, by the images of a fixed
+point set: p[i] is the 0-based image of point i.  The point sets are the
+n + 1 points of A(n); the 2n signed points of B(n) and D(n), where +k is
+point k - 1 and -k is point n + k - 1; the m vertices of the m-gon for
+I2(m), on which the reflection s_k sends i to k - i mod m (faithful
+because m >= 3); and the roots of H3, H4, F4, E6, E7 and E8.  So one
+``mul``, ``inv``, Cayley-graph search and ``shortenings`` serve every type,
+and a model supplies only its simples, reflections, ``refl_length`` and
+``atom_image``.
+
+A model holds its elements as byte strings when every point index fits in
+a byte, that is with at most ``BYTE_POINTS`` = 256 points (every model but
+I2(m) for m > 256, A(n) for n > 255 and B(n), D(n) for n > 128), and as
+image tuples otherwise; it chooses once, when it is built.  Either way
+``mul(u, v)`` is ``act(u, v + pad)``.  For bytes, ``act`` is
+``bytes.translate`` and its 256-byte table is v followed by the unused
+byte values ``pad``, so a product is one C call that builds no tuple; for
+tuples, pad is empty.  The engines' loops call ``act`` on tables built once.
+For example, tau(1) of B2 swaps +1 (point 0) with -1 (point 2), and the
+Coxeter element of I2(5) is the rotation i -> i - 1:
 
 >>> from dualbraid import parse_type, parse_atom
->>> coxeter_group(parse_type("B2")).atom_image(parse_atom("tau(1)"))
+>>> b2 = coxeter_group(parse_type("B2"))
+>>> b2.atom_image(parse_atom("tau(1)"))
+b'\\x02\\x01\\x00\\x03'
+>>> tuple(b2.atom_image(parse_atom("tau(1)")))
 (2, 1, 0, 3)
->>> coxeter_group(parse_type("I2(5)")).coxeter_element
+>>> tuple(coxeter_group(parse_type("I2(5)")).coxeter_element)
 (4, 0, 1, 2, 3)
+>>> type(coxeter_group(parse_type("I2(257)")).identity)
+<class 'tuple'>
 
 ``mul(u, v)`` composes two elements with u applied first, ``inv`` inverts,
 ``refl_length`` is the absolute reflection length (codimension of the
@@ -31,27 +45,9 @@ complements it cannot settle from two parents, c and its lower covers on
 a reflection group, with ``among`` narrowed to the reflections below every
 parent; the model tests each candidate it is given.
 
-The two searches, the Cayley-graph search here and interval enumeration,
-compute on codes.  ``codec`` is a triple (code, pad, act) with
-act(code(u), code(v) + pad) equal to code(mul(u, v)).  When every point
-index fits in a byte, that is with at most 256 points (every model but
-I2(m) for m > 256, A(n) for n > 255 and B(n), D(n) for n > 128), a code
-is a byte string
-and act is ``bytes.translate``, whose 256-byte table is code(v) followed by
-the unused byte values ``pad``: a product is one C call that builds no
-tuple.  Otherwise a code is the image tuple itself, pad is empty and act
-is ``mul``.  Either way one loop serves both branches:
-
->>> code, pad, act = coxeter_group(parse_type("A2")).codec
->>> uv = act(code((1, 0, 2)), code((0, 2, 1)) + pad)
->>> uv, tuple(uv)
-(b'\\x02\\x00\\x01', (2, 0, 1))
-
 The Cayley-graph search multiplies the whole frontier by each simple
-reflection in C and keeps its codes: it returns a mapping that decodes an
-element to its tuple only when the element is read, so its length costs
-no decoding.  Interval enumeration looks complements up by the images of
-their first max(rank, 2) points, which determine an element in every
+reflection in C.  Interval enumeration looks complements up by the images
+of their first max(rank, 2) points, which determine an element in every
 model: the last point of A(n) goes where the others leave room, -k goes to
 the negative of the image of +k in B(n) and D(n), a dihedral symmetry is
 fixed by where it sends two adjacent vertices, and the first rank roots of
@@ -65,7 +61,6 @@ reflection length, and the moved-space test behind its ``shortenings``.
 from __future__ import annotations
 
 import operator
-from collections.abc import ItemsView, Mapping
 from functools import cached_property
 from itertools import chain, filterfalse, repeat
 from typing import Iterable
@@ -75,7 +70,7 @@ from .exact import GoldenInt, left_null_basis, matrix_rank
 from .presentation import Atom, Word
 
 __all__ = [
-    "CodeDepths",
+    "BYTE_POINTS",
     "coxeter_group",
     "PermGroup",
     "SignedPermGroup",
@@ -84,24 +79,47 @@ __all__ = [
     "word_image",
 ]
 
+# a model on at most this many points holds its elements as byte strings;
+# read when a model is built
+BYTE_POINTS = 256
+
+
+def _compose(u: tuple, v: tuple) -> tuple:
+    # tuple(v[x] for x in u), done in C; u has more than one point
+    return operator.itemgetter(*u)(v)
+
 
 class _GroupBase:
-    """Element arithmetic shared by every model: image tuples of points."""
+    """Element arithmetic shared by every model, on byte or tuple images."""
 
     ctype: CoxType
-    identity: tuple[int, ...]
-    simples: tuple[tuple[int, ...], ...]
-    reflections: tuple[tuple[int, ...], ...]
+    identity: bytes | tuple[int, ...]
+    simples: tuple
+    reflections: tuple
+
+    def _use_points(self, points: int) -> None:
+        """Choose the element encoding for ``points`` points, once."""
+        if points <= BYTE_POINTS:
+            self._element, self.pad, self.act = bytes, bytes(range(points, 256)), bytes.translate
+        else:
+            self._element, self.pad, self.act = tuple, (), _compose
+        self.identity = self._element(range(points))
+
+    def _swapping(self, pairs) -> bytes | tuple[int, ...]:
+        """The element that swaps each listed pair of points."""
+        el = list(self.identity)
+        for a, b in pairs:
+            el[a], el[b] = b, a
+        return self._element(el)
 
     def mul(self, u, v):
-        # tuple(v[x] for x in u), done in C
-        return operator.itemgetter(*u)(v)
+        return self.act(u, v + self.pad)
 
     def inv(self, u):
         out = [0] * len(u)
         for i, x in enumerate(u):
             out[x] = i
-        return tuple(out)
+        return self._element(out)
 
     @cached_property
     def coxeter_element(self):
@@ -110,31 +128,16 @@ class _GroupBase:
             el = self.mul(el, s)
         return el
 
-    @cached_property
-    def codec(self):
-        """(code, pad, act): act(code(u), code(v) + pad) is code(mul(u, v)).
-
-        Byte strings and ``bytes.translate`` when every point index fits
-        in a byte, image tuples and ``mul`` otherwise (see the module
-        docstring).
-        """
-        points = len(self.identity)
-        if points <= 256:
-            return bytes, bytes(range(points, 256)), bytes.translate
-        return tuple, (), self.mul
-
-    def enumerate_group(self) -> CodeDepths:
+    def enumerate_group(self) -> dict:
         """BFS over the Cayley graph; maps element -> word length ell_S.
 
-        A frontier is multiplied by every simple reflection with the
-        ``codec`` act, in C, and the products new to the search form the
-        next frontier in discovery order: by frontier element, then by
-        simple.  The result keeps the codes and decodes an element to its
-        image tuple only where one is read (see ``CodeDepths``).
+        A frontier is multiplied by every simple reflection with ``act``,
+        in C, and the products new to the search form the next frontier in
+        discovery order: by frontier element, then by simple.
         """
-        code, pad, act = self.codec
-        tables = [code(s) + pad for s in self.simples]
-        frontier = [code(self.identity)]
+        act = self.act
+        tables = [s + self.pad for s in self.simples]
+        frontier = [self.identity]
         depth = dict.fromkeys(frontier, 0)
         d = 0
         while frontier:
@@ -149,7 +152,7 @@ class _GroupBase:
                 f"group {self.ctype}: BFS reached {len(depth)} elements, "
                 f"expected {self.ctype.group_order}"
             )
-        return CodeDepths(code, depth)
+        return depth
 
     def shortenings(self, x, length: int, among):
         """Pairs (i, t x) over the reflections t = reflections[i] below x.
@@ -166,52 +169,6 @@ class _GroupBase:
                 yield i, tx
 
 
-class CodeDepths(Mapping):
-    """Element -> word length, held as ``codec`` codes.
-
-    ``codes`` maps each code to its length in discovery order.  Iteration
-    decodes the codes to image tuples as it goes, a lookup encodes the
-    tuple it is given, and ``len`` decodes nothing.  A key that is no
-    tuple of points is simply absent.
-    """
-
-    def __init__(self, code, codes: dict):
-        self._code = code
-        self.codes = codes
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __iter__(self):
-        return map(tuple, self.codes)
-
-    def __getitem__(self, u) -> int:
-        try:
-            return self.codes[self._code(u)]
-        except (TypeError, ValueError):
-            raise KeyError(u) from None
-
-    def items(self):
-        return _CodeDepthItems(self)
-
-    def values(self):
-        return self.codes.values()
-
-
-class _CodeDepthItems(ItemsView):
-    def __iter__(self):
-        codes = self._mapping.codes
-        return zip(map(tuple, codes), codes.values())
-
-
-def _swapping(size: int, pairs) -> tuple[int, ...]:
-    """The permutation of range(size) that swaps each listed pair of points."""
-    el = list(range(size))
-    for a, b in pairs:
-        el[a], el[b] = b, a
-    return tuple(el)
-
-
 class PermGroup(_GroupBase):
     """Symmetric group on the rank + 1 points; label k is point k - 1."""
 
@@ -220,14 +177,14 @@ class PermGroup(_GroupBase):
             raise ValueError(f"the permutation model covers type A, not {ctype}")
         self.ctype = ctype
         self.points = p = ctype.rank + 1
-        self.identity = tuple(range(p))
+        self._use_points(p)
         self.simples = tuple(self.transposition(i, i + 1) for i in range(1, p))
         self.reflections = tuple(
             self.transposition(t, s) for t in range(2, p + 1) for s in range(1, t)
         )
 
     def transposition(self, t: int, s: int):
-        return _swapping(self.points, ((t - 1, s - 1),))
+        return self._swapping(((t - 1, s - 1),))
 
     def refl_length(self, u) -> int:
         seen = [False] * self.points
@@ -242,7 +199,7 @@ class PermGroup(_GroupBase):
         return self.points - cycles
 
     def atom_image(self, atom: Atom):
-        if atom.family == "a":
+        if atom.family == "a" and atom.i <= self.points:
             return self.transposition(atom.i, atom.j)
         if atom.family == "sigma" and 1 <= atom.i < self.points:
             return self.transposition(atom.i + 1, atom.i)
@@ -261,7 +218,7 @@ class SignedPermGroup(_GroupBase):
             raise ValueError(f"the signed-permutation model covers B and D, not {ctype}")
         self.ctype = ctype
         self.n = n = ctype.rank
-        self.identity = tuple(range(2 * n))
+        self._use_points(2 * n)
         first = self.reflection(1, -1) if ctype.series == "B" else self.reflection(2, -1)
         self.simples = (first,) + tuple(self.reflection(i + 1, i) for i in range(1, n))
         pairs = [(t, s) for t in range(2, n + 1) for s in range(1, t)]
@@ -278,7 +235,7 @@ class SignedPermGroup(_GroupBase):
         def point(k: int) -> int:
             return k - 1 if k > 0 else n - k - 1
 
-        return _swapping(2 * n, ((point(a), point(b)), (point(-a), point(-b))))
+        return self._swapping(((point(a), point(b)), (point(-a), point(-b))))
 
     def refl_length(self, u) -> int:
         # codim of the fixed space: each signed cycle with an even number
@@ -298,19 +255,18 @@ class SignedPermGroup(_GroupBase):
         return n - positive
 
     def atom_image(self, atom: Atom):
-        fam = atom.family
-        if fam == "alpha":
-            return self.reflection(atom.i, atom.j)
-        if fam == "beta":
-            return self.reflection(atom.i, -atom.j)
-        if fam == "tau":
-            if self.ctype.series == "B":
-                return self.reflection(atom.i, -atom.i)
-            if atom.i == 1:
-                return self.reflection(2, -1)
-            raise ValueError(f"{atom} is not a generator of type {self.ctype}")
-        if fam == "sigma" and 1 <= atom.i < self.n:
-            return self.reflection(atom.i + 1, atom.i)
+        fam, i, j, n = atom.family, atom.i, atom.j, self.n
+        # a binary atom has i > j >= 1, so only i can leave the range
+        if fam == "alpha" and i <= n:
+            return self.reflection(i, j)
+        if fam == "beta" and i <= n:
+            return self.reflection(i, -j)
+        if fam == "tau" and self.ctype.series == "B" and 1 <= i <= n:
+            return self.reflection(i, -i)
+        if fam == "tau" and self.ctype.series == "D" and i == 1:
+            return self.reflection(2, -1)
+        if fam == "sigma" and 1 <= i < n:
+            return self.reflection(i + 1, i)
         raise ValueError(f"{atom} is not a generator of type {self.ctype}")
 
 
@@ -322,8 +278,8 @@ class DihedralGroup(_GroupBase):
             raise ValueError(f"the dihedral model covers I2, not {ctype}")
         self.ctype = ctype
         self.m = m = ctype.param
-        self.identity = tuple(range(m))
-        self.reflections = tuple(tuple((k - i) % m for i in range(m)) for k in range(m))
+        self._use_points(m)
+        self.reflections = tuple(self._element((k - i) % m for i in range(m)) for k in range(m))
         self.simples = self.reflections[:2]
 
     def refl_length(self, u) -> int:
@@ -373,8 +329,8 @@ class RootGroup(_GroupBase):
     The roots are built once, exactly, in the simple-root basis over Z or
     Z[phi]: the orbit of the simple roots under the simple reflections,
     which is closed under negation.  The first ``rank`` roots are the
-    simple roots.  An element w is the tuple p with p[r] the index of
-    w(root r), the point set of this model.
+    simple roots.  An element w has p[r] the index of w(root r): the
+    roots are the point set of this model.
     There is one reflection per +- root pair, the conjugate of a simple
     reflection along the path that reached its root.
     """
@@ -410,8 +366,8 @@ class RootGroup(_GroupBase):
                 f"{ctype}: found {len(roots)} roots, expected {2 * ctype.num_reflections}"
             )
         self.roots = tuple(roots)
-        self.identity = tuple(range(len(roots)))
-        self.simples = tuple(tuple(img) for img in images)
+        self._use_points(len(roots))
+        self.simples = tuple(map(self._element, images))
         # s_{s_j(a)} = s_j s_a s_j; keep the first root of each +- pair
         by_root = list(self.simples)
         for r in range(n, len(roots)):

@@ -3,8 +3,10 @@
 A Garside structure is packaged here as an indexed simple-element poset
 (dual: the absolute-order interval below c; classical: the weak-order
 interval below the longest element) together with the partial product,
-the complement maps, and conjugation by the top element.  Words multiply
-left to right throughout, matching the group models.
+the complement maps, and conjugation by the top element.  Simples are
+multiplied as the poset's elements, in the group model's own encoding,
+and looked up in its ``index``.  Words multiply left to right throughout,
+matching the group models.
 
 The normal form is the left-greedy one: delta power out front, then a
 sequence of non-trivial proper simples in which every adjacent pair (x, y)
@@ -39,25 +41,22 @@ class GarsideData:
         self.group = poset.group
         self.bottom = poset.bottom
         self.delta = poset.top
-        # products run on the poset's codec codes, as in its enumeration
-        self._code, self._pad, self._act = self.group.codec
 
     def __len__(self) -> int:
         return len(self.poset)
 
     def product(self, i: int, j: int) -> int | None:
         """Index of the product when grades add and it stays simple."""
-        codes = self.poset.codes
-        k = self.poset.code_index.get(self._act(codes[i], codes[j] + self._pad))
+        elements = self.poset.elements
+        k = self.poset.index.get(self.group.mul(elements[i], elements[j]))
         if k is None or self.poset.grades[k] != self.poset.grades[i] + self.poset.grades[j]:
             return None
         return k
 
     def left_quotient(self, i: int, j: int) -> int | None:
         """Index of z with i * z = j and grades additive, if it exists."""
-        codes = self.poset.codes
-        inv = self._code(self.group.inv(codes[i]))
-        k = self.poset.code_index.get(self._act(inv, codes[j] + self._pad))
+        group, elements = self.group, self.poset.elements
+        k = self.poset.index.get(group.mul(group.inv(elements[i]), elements[j]))
         if k is None or self.poset.grades[i] + self.poset.grades[k] != self.poset.grades[j]:
             return None
         return k
@@ -99,15 +98,8 @@ class GarsideData:
         if not self.ctype.has_explicit_presentation:
             return None
         atoms = dual_atoms(self.ctype) if self.kind == "dual" else classical_atoms(self.ctype)
-        index, image = self.poset.code_index, self.group.atom_image
-        labels = {}
-        for a in atoms:
-            el = image(a)
-            try:
-                labels[a] = index[self._code(el)]
-            except ValueError:  # no byte code: not a group element at all
-                raise KeyError(el) from None
-        return labels
+        index, image = self.poset.index, self.group.atom_image
+        return {a: index[image(a)] for a in atoms}
 
     def simple_word(self, i: int) -> Word:
         """A geodesic atom word for a simple (explicit series only).

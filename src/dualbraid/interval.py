@@ -22,12 +22,10 @@ only about the others, the complements whose parents all brought the same
 set: on a reflection group these are c and its lower covers, 1 + N
 complements for N reflections.  A complement is looked up by the images of
 its first max(rank, 2) points, which determine an element in every model,
-and only the current frontier keeps full complements.  Elements and
-complements are held as the group's ``codec`` codes (byte strings for at
-most 256 points, image tuples beyond), so that each product is one C call,
-and the poset keeps the codes: ``poset.codes`` and ``poset.code_index``
-are what the engines read, and ``poset.elements`` and ``poset.index``
-decode them to image tuples on first read.
+and only the current frontier keeps full complements.  Elements are the
+group model's own (byte strings for at most 256 points, image tuples
+beyond), and every product is one ``act`` of the model on a table built
+once per reflection.
 
 Meets and joins take and return element indices (``poset.index`` maps an
 element to its index).  They read int bitsets built once from the cover
@@ -65,25 +63,20 @@ class IntervalPoset:
     Elements are group elements indexed in grade-monotone order.  The
     ``komp`` array sends index i to the index of the left complement
     (the element x with u * x = top), which reverses the grading.
-
-    The elements are stored as the group's ``codec`` codes, which the
-    engines multiply and look up (``codes``, ``code_index``); image tuples
-    are decoded only when ``elements`` or ``index`` is read.  Without a
-    group, the elements are kept as given.
+    ``index`` maps an element to its index.
     """
 
     def __init__(self, ctype, group, elements, grades, cover_edges, komp, order_kind):
         self.ctype = ctype
         self.group = group
-        # code() of a code is the code itself, so codes pass through
-        self.codes = tuple(elements if group is None else map(group.codec[0], elements))
+        self.elements = tuple(elements)
         self.grades = tuple(grades)
         self.cover_edges = tuple(cover_edges)
         self.komp = tuple(komp)
         self.order_kind = order_kind
-        self.code_index = dict(zip(self.codes, range(len(self.codes))))
-        size = len(self.codes)
-        if len(self.code_index) != size:
+        size = len(self.elements)
+        self.index = dict(zip(self.elements, range(size)))
+        if len(self.index) != size:
             raise ValueError("duplicate elements in poset")
         if any(self.grades[i] > self.grades[i + 1] for i in range(size - 1)):
             raise ValueError("element order must be grade-monotone")
@@ -103,19 +96,7 @@ class IntervalPoset:
                 raise ValueError("complement map does not reverse the grading")
 
     def __len__(self) -> int:
-        return len(self.codes)
-
-    @cached_property
-    def elements(self) -> tuple:
-        """The elements as image tuples (as given, without a group)."""
-        if self.group is None:
-            return self.codes
-        return tuple(map(tuple, self.codes))
-
-    @cached_property
-    def index(self) -> dict:
-        """Element (image tuple) -> index."""
-        return dict(zip(self.elements, range(len(self))))
+        return len(self.elements)
 
     @cached_property
     def komp_inv(self) -> tuple[int, ...]:
@@ -206,12 +187,10 @@ class IntervalPoset:
 def enumerate_interval(ctype: CoxType) -> IntervalPoset:
     """All elements u with l(u) + l(u^-1 c) = l(c), as a graded poset.
 
-    Elements and complements are kept as ``group.codec`` codes and every
-    product is one ``act``; the poset keeps the codes, and the model's
-    ``refl_length`` and ``shortenings`` get image tuples.
+    Every product is one ``act`` of the group model on a table built once.
     """
     group = coxeter_group(ctype)
-    code, pad, act = group.codec
+    pad, act = group.pad, group.act
     c = group.coxeter_element
     n = group.refl_length(c)
     reflections = group.reflections
@@ -219,14 +198,12 @@ def enumerate_interval(ctype: CoxType) -> IntervalPoset:
     # coxeter); at least two, since itemgetter of one index gives a scalar
     width = max(ctype.rank, 2)
     # with t = reflections[i]: u t is act(u, rights[i]); t x is
-    # act(lefts[i], x + pad), and its key act(heads[i], x + pad)
-    rights = [code(t) + pad for t in reflections]
-    lefts = [code(t) for t in reflections]
-    heads = [code(t[:width]) for t in reflections]
-    elements = [code(group.identity)]
+    # act(t, x + pad), and its key act(heads[i], x + pad)
+    rights = [t + pad for t in reflections]
+    heads = [t[:width] for t in reflections]
+    elements = [group.identity]
     grades = [0]
     # complement key -> index of the element whose complement it is
-    c = code(c)
     index_by_key = {c[:width]: 0}
     edges: list[tuple[int, int]] = []
     # the frontier's full complements and reflection masks: a mask starts
@@ -244,7 +221,7 @@ def enumerate_interval(ctype: CoxType) -> IntervalPoset:
             if is_exact:
                 found = mask
             else:
-                shorter = group.shortenings(tuple(x), n - k, _bits(mask))
+                shorter = group.shortenings(x, n - k, _bits(mask))
                 found = sum(1 << i for i, _ in shorter)
             table = x + pad
             for i in _bits(found):
@@ -255,7 +232,7 @@ def enumerate_interval(ctype: CoxType) -> IntervalPoset:
                     elements.append(act(u, rights[i]))
                     grades.append(k + 1)
                     nxt.append(vi)
-                    nxt_comps.append(act(lefts[i], table))
+                    nxt_comps.append(act(reflections[i], table))
                     nxt_masks.append(found)
                     nxt_exact.append(False)
                 elif nxt_masks[vi - hi] != found:
@@ -290,14 +267,14 @@ def weak_order_poset(ctype: CoxType) -> IntervalPoset:
             f"group order {ctype.group_order} exceeds the classical guard {WEAK_ORDER_CAP}"
         )
     group = coxeter_group(ctype)
-    code, pad, act = group.codec
-    # codes of equal length sort as their image tuples do
-    depth = group.enumerate_group().codes
+    pad, act = group.pad, group.act
+    # byte strings of equal length sort as their image tuples do
+    depth = group.enumerate_group()
     ordered = sorted(depth.items(), key=lambda kv: (kv[1], kv[0]))
     elements = [el for el, _ in ordered]
     grades = [g for _, g in ordered]
     index = {el: i for i, el in enumerate(elements)}
-    tables = [code(s) + pad for s in group.simples]
+    tables = [s + pad for s in group.simples]
     edges = []
     for vi, (v, g) in enumerate(ordered):
         for table in tables:
@@ -305,7 +282,7 @@ def weak_order_poset(ctype: CoxType) -> IntervalPoset:
             if depth[u] == g - 1:
                 edges.append((index[u], vi))
     w0 = elements[-1] + pad
-    komp = tuple(index[act(code(group.inv(el)), w0)] for el in elements)
+    komp = tuple(index[act(group.inv(el), w0)] for el in elements)
     return IntervalPoset(ctype, group, elements, grades, edges, komp, "weak")
 
 

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from dualbraid import coxeter_group, parse_type, word_image
+from dualbraid import coxeter_group, parse_atom, parse_type, word_image
 from dualbraid.cli import TABLE_TYPES
 from dualbraid.coxeter import (
     DihedralGroup,
@@ -25,10 +27,9 @@ def test_reflection_basics():
     for name in TABLE_TYPES:
         ct = parse_type(name)
         group = coxeter_group(ct)
-        # one encoding: image tuples of the points 0..k-1, with k >= 2 so
-        # that the shared itemgetter product always returns a tuple
+        # one encoding: the images of the points 0..k-1, with k >= 2
         ident = group.identity
-        assert ident == tuple(range(len(ident))) and len(ident) >= 2, name
+        assert tuple(ident) == tuple(range(len(ident))) and len(ident) >= 2, name
         refs = list(group.reflections)
         assert len(refs) == ct.num_reflections
         assert len(set(refs)) == len(refs)
@@ -106,22 +107,23 @@ def test_refl_length_equals_fixed_space_codimension():
 
 
 def test_codec_products_are_mul():
-    # byte codes while every point index fits in a byte, tuples beyond
+    # byte strings while every point index fits in a byte, tuples beyond;
+    # either way mul composes the images with its left factor first
     for name, kind in [("E8", bytes), ("I2(256)", bytes), ("I2(257)", tuple)]:
         group = coxeter_group(parse_type(name))
-        code, pad, act = group.codec
-        assert code is kind, name
         u, v = group.coxeter_element, group.simples[0]
-        assert type(act(code(u), code(v) + pad)) is kind
-        assert tuple(act(code(u), code(v) + pad)) == group.mul(u, v), name
-        assert tuple(act(code(v), code(u) + pad)) == group.mul(v, u), name
+        for el in (group.identity, u, v, group.mul(u, v), group.inv(u)):
+            assert type(el) is kind, name
+        assert tuple(group.mul(u, v)) == tuple(v[x] for x in u), name
+        assert tuple(group.mul(v, u)) == tuple(u[x] for x in v), name
+        assert group.mul(u, v) == group.act(u, v + group.pad), name
 
 
 def test_dihedral_rotations_and_reflections():
     for m in range(3, 13):
         group = coxeter_group(parse_type(f"I2({m})"))
-        rot = [tuple((i + k) % m for i in range(m)) for k in range(m)]
-        ref = [tuple((k - i) % m for i in range(m)) for k in range(m)]
+        rot = [bytes((i + k) % m for i in range(m)) for k in range(m)]
+        ref = [bytes((k - i) % m for i in range(m)) for k in range(m)]
         elements = group.enumerate_group()
         assert set(elements) == set(rot) | set(ref)
         assert {u for u in elements if group.refl_length(u) == 1} == set(ref)
@@ -188,6 +190,26 @@ def test_root_group_roots_and_inverse():
         c = group.coxeter_element
         assert group.mul(c, group.inv(c)) == group.identity
         assert group.mul(group.inv(c), c) == group.identity
+
+
+@pytest.mark.parametrize(
+    "label,atom",
+    [
+        ("A3", "a(9,1)"),
+        ("A3", "a(5,4)"),
+        ("B3", "alpha(9,1)"),
+        ("B3", "beta(4,1)"),
+        ("B3", "tau(7)"),
+        ("B3", "tau(0)"),
+        ("D4", "tau(2)"),
+        ("B3", "sigma(3)"),
+    ],
+)
+def test_atom_image_refuses_an_index_out_of_range(label, atom):
+    # the same error as an unknown family, not an IndexError from the points
+    group = coxeter_group(parse_type(label))
+    with pytest.raises(ValueError, match=rf"{re.escape(atom)} is not a generator of type"):
+        group.atom_image(parse_atom(atom))
 
 
 def test_models_reject_other_types():

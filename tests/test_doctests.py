@@ -1,4 +1,4 @@
-"""The examples in the package's docstrings run and hold.
+"""The examples in the package's docstrings and in the README run and hold.
 
 Tier-1 collects only ``tests/``, so without this gate a docstring example
 could go stale unnoticed.
@@ -7,8 +7,11 @@ could go stale unnoticed.
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import dualbraid
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_docstring_examples_hold():
@@ -22,3 +25,9 @@ def test_docstring_examples_hold():
             failing.append(f"{info.name}: {result.failed} of {result.attempted}")
     assert not failing, failing
     assert attempted > 0
+
+
+def test_readme_examples_hold():
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.failed == 0, result
+    assert result.attempted > 0

@@ -169,7 +169,9 @@ def _reference_tables(data):
 @pytest.mark.parametrize(
     "kind,label",
     [("dual", t) for t in TABLE_TYPES if t not in ("E7", "E8")]
-    + [("classical", t) for t in ("A3", "B3", "D4", "I2:7", "H3")],
+    + [("classical", t) for t in ("A3", "B3", "D4", "I2:7", "H3")]
+    # I2(257) is the smallest type whose model holds image tuples
+    + [("dual", "I2:257"), ("classical", "I2:257")],
 )
 def test_derived_tables_match_group_arithmetic(kind, label):
     build = dual_garside_data if kind == "dual" else classical_garside_data

@@ -6,11 +6,8 @@ import pytest
 from dualbraid import (
     IntervalPoset,
     LatticeError,
-    classical_garside_data,
     coxeter_group,
-    dual_garside_data,
     enumerate_interval,
-    group_normal_form,
     parse_type,
     parse_word,
     verify_lattice,
@@ -221,7 +218,7 @@ def _swaps(*pairs):
     el = list(range(5))
     for a, b in pairs:
         el[a], el[b] = b, a
-    return tuple(el)
+    return bytes(el)
 
 
 def test_equal_parent_sets_still_go_to_the_model(monkeypatch):
@@ -306,85 +303,33 @@ def test_tuple_codec_beyond_256_points():
     # searches multiply image tuples
     ct = parse_type("I2(300)")
     group = coxeter_group(ct)
-    assert group.codec[0] is tuple
+    assert type(group.identity) is tuple
     found = list(group.enumerate_group().items())
     assert len(found) == 600
     assert found == list(_full_tuple_search(group).items())
     poset = enumerate_interval(ct)
-    assert poset.group.codec[0] is tuple
+    assert all(type(el) is tuple for el in poset.elements)
     assert len(poset) == 302
     assert verify_lattice(poset).ok
 
 
 def test_tuple_codec_matches_byte_codec(monkeypatch):
-    # the same searches on a model forced onto image tuples
+    # the same searches on a model built with no room for byte strings
     for name in ["A4", "B4", "D5", "H3", "F4", "E6"]:
         ct = parse_type(name)
         group = coxeter_group(ct)
-        assert group.codec[0] is bytes, name
-        forced = coxeter_group(ct)
-        forced.codec = (tuple, (), forced.mul)
-        found = list(forced.enumerate_group().items())
-        assert found == list(group.enumerate_group().items()), name
         by_bytes = enumerate_interval(ct)
-        monkeypatch.setattr(interval, "coxeter_group", lambda ctype: forced)
+        monkeypatch.setattr(coxeter, "BYTE_POINTS", 0)
+        forced = coxeter_group(ct)
         by_tuples = enumerate_interval(ct)
         monkeypatch.undo()
-        assert by_tuples.group is forced and by_bytes.group is not forced
-        assert by_tuples.elements == by_bytes.elements, name
+        assert type(group.identity) is bytes and type(forced.identity) is tuple, name
+        assert type(by_tuples.elements[0]) is tuple, name
+        found = list(forced.enumerate_group().items())
+        assert found == [(tuple(u), d) for u, d in group.enumerate_group().items()], name
+        assert by_tuples.elements == tuple(map(tuple, by_bytes.elements)), name
         assert by_tuples.cover_edges == by_bytes.cover_edges, name
         assert by_tuples.komp == by_bytes.komp, name
-
-
-def test_enumerate_group_reads_like_a_dict():
-    # the search keeps codes: a read decodes, a lookup encodes, on byte
-    # codes (B4) and on tuple codes (I2(300))
-    for label in ["B4", "I2(300)"]:
-        group = coxeter_group(parse_type(label))
-        found = group.enumerate_group()
-        reference = _full_tuple_search(group)
-        assert list(found.items()) == list(reference.items()), label
-        assert list(found) == list(reference), label
-        assert list(found.values()) == list(reference.values()), label
-        assert len(found) == len(reference) and found == reference, label
-        u = group.coxeter_element
-        assert u in found and found[u] == reference[u], label
-        assert (u, reference[u]) in found.items(), label
-        # keys that encode to no code at all are absent, like any other
-        for bad in [(-1,), (256,) * len(u), ("x",)]:
-            assert bad not in found, (label, bad)
-            with pytest.raises(KeyError):
-                found[bad]
-            assert found.get(bad) is None, (label, bad)
-
-
-def test_engines_decode_no_element_they_do_not_read(monkeypatch):
-    # E8's 25,080 simples stay codes through the masks and the lattice check
-    poset = enumerate_interval(parse_type("E8"))
-    poset.down_masks, poset.up_masks
-    assert verify_lattice(poset, samples=100).ok
-    assert "elements" not in poset.__dict__ and "index" not in poset.__dict__
-    # so do the Garside tables and normal forms, dual and classical
-    for data in [dual_garside_data(parse_type("B4")), classical_garside_data(parse_type("B3"))]:
-        data.right_complement, data.delta_conj, data.delta_conj_inv
-        atoms = list(data.atom_labels)
-        nf = group_normal_form([(a, (-1) ** k) for k, a in enumerate(atoms * 2)], data)
-        nf.as_dict(data)
-        assert "elements" not in data.poset.__dict__, data.kind
-        assert "index" not in data.poset.__dict__, data.kind
-    # counting E6's 51,840 elements decodes none of them
-    decoded = []
-
-    def spy(*args):
-        decoded.append(args)
-        return tuple(*args)
-
-    group = coxeter_group(parse_type("E6"))
-    monkeypatch.setattr(coxeter, "tuple", spy, raising=False)
-    depths = group.enumerate_group()
-    assert len(depths) == 51_840 and decoded == []
-    next(iter(depths))
-    assert len(decoded) == 1
 
 
 def test_komp_is_grade_reversing_bijection():
