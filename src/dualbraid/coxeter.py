@@ -18,6 +18,9 @@ image tuples otherwise; it chooses once, when it is built.  Either way
 ``bytes.translate`` and its 256-byte table is v followed by the unused
 byte values ``pad``, so a product is one C call that builds no tuple; for
 tuples, pad is empty.  The engines' loops call ``act`` on tables built once.
+``left_div(u, v)`` is u^-1 v, chosen at the same time: for bytes it is the
+translation table ``bytes.maketrans(u, v)`` cut to the points, again one C
+call, and for tuples ``mul(inv(u), v)``.
 For example, tau(1) of B2 swaps +1 (point 0) with -1 (point 2), and the
 Coxeter element of I2(5) is the rotation i -> i - 1:
 
@@ -89,6 +92,11 @@ def _compose(u: tuple, v: tuple) -> tuple:
     return operator.itemgetter(*u)(v)
 
 
+def _byte_left_div(u: bytes, v: bytes) -> bytes:
+    # the table that sends u[i] to v[i], cut to u's points: u^-1 v in C
+    return bytes.maketrans(u, v)[: len(u)]
+
+
 class _GroupBase:
     """Element arithmetic shared by every model, on byte or tuple images."""
 
@@ -101,8 +109,10 @@ class _GroupBase:
         """Choose the element encoding for ``points`` points, once."""
         if points <= BYTE_POINTS:
             self._element, self.pad, self.act = bytes, bytes(range(points, 256)), bytes.translate
+            self.left_div = _byte_left_div
         else:
             self._element, self.pad, self.act = tuple, (), _compose
+            self.left_div = lambda u, v: self.mul(self.inv(u), v)
         self.identity = self._element(range(points))
 
     def _swapping(self, pairs) -> bytes | tuple[int, ...]:

@@ -12,7 +12,14 @@ The normal form is the left-greedy one: delta power out front, then a
 sequence of non-trivial proper simples in which every adjacent pair (x, y)
 is left-weighted, meaning no atom of y can slide into x.  Local slides are
 computed with lattice meets: the part of y that merges into x is exactly
-meet(complement(x), y).
+m = meet(complement(x), y), and the slide makes the pair (x m, m^-1 y).
+
+A word is normalised by Thurston's algorithm (Epstein et al., *Word
+Processing in Groups*, 1992, ch. 9): append one simple at a time to a form
+that is already left-weighted, and slide it left in a single right-to-left
+pass.  A slide leaves the pairs to its right left-weighted, so the pass
+stops at the first pair that does not change (m is the bottom, or x is
+delta, which only the leading delta powers are).
 """
 
 from __future__ import annotations
@@ -55,8 +62,8 @@ class GarsideData:
 
     def left_quotient(self, i: int, j: int) -> int | None:
         """Index of z with i * z = j and grades additive, if it exists."""
-        group, elements = self.group, self.poset.elements
-        k = self.poset.index.get(group.mul(group.inv(elements[i]), elements[j]))
+        elements = self.poset.elements
+        k = self.poset.index.get(self.group.left_div(elements[i], elements[j]))
         if k is None or self.poset.grades[i] + self.poset.grades[k] != self.poset.grades[j]:
             return None
         return k
@@ -155,56 +162,61 @@ class NormalForm:
 
 
 def _renorm(data: GarsideData, letters: list[int]) -> tuple[int, list[int]]:
-    """Slide weight left until every adjacent pair is left-weighted.
+    """Left-greedy form of a product of simples, by Thurston's algorithm.
 
-    Each slide moves grade strictly leftward, so the loop terminates.
-    Returns the number of leading delta factors and the remaining ones.
+    The letters are appended one at a time.  After each append one pass
+    walks left from the new letter: at each pair (x, y), with y the factor
+    moving left, y = delta swaps to (delta, delta^-1 x delta), and
+    otherwise m = meet(lc[x], y) slides into x, giving (x m, m^-1 y), which
+    drops out when it is the bottom.  The pass stops at the first pair that
+    does not change: x is delta, or m is the bottom; the factors to its
+    left are left-weighted already.  Returns the number of leading delta
+    factors and the remaining ones.
     """
-    factors = [i for i in letters if i != data.bottom]
-    meet = data.poset.meet_index
-    lc = data.left_complement
-    delta = data.delta
-    changed = True
-    while changed:
-        changed = False
-        i = len(factors) - 2
+    bottom, delta = data.bottom, data.delta
+    meet, lc, conj = data.poset.meet_index, data.left_complement, data.delta_conj
+    product, left_quotient = data.product, data.left_quotient
+    factors: list[int] = []
+    for y in letters:
+        if y == bottom:
+            continue
+        i = len(factors) - 1
+        factors.append(y)
         while i >= 0:
             x = factors[i]
-            y = factors[i + 1]
             if x == delta:
-                i -= 1
-                continue
+                break
             if y == delta:
                 factors[i] = delta
-                factors[i + 1] = data.delta_conj[x]
-                changed = True
-                i -= 1
-                continue
-            m = meet(lc[x], y)
-            if m != data.bottom:
-                x2 = data.product(x, m)
-                y2 = data.left_quotient(m, y)
+                factors[i + 1] = conj[x]
+            else:
+                m = meet(lc[x], y)
+                if m == bottom:
+                    break
+                x2 = product(x, m)
+                y2 = left_quotient(m, y)
                 if x2 is None or y2 is None:
                     raise RuntimeError("partial product failed during renormalization")
-                factors[i] = x2
-                if y2 == data.bottom:
+                factors[i] = y = x2
+                if y2 == bottom:
                     del factors[i + 1]
                 else:
                     factors[i + 1] = y2
-                changed = True
             i -= 1
     k = 0
-    while factors and factors[0] == delta:
+    while k < len(factors) and factors[k] == delta:
         k += 1
-        factors.pop(0)
-    return k, factors
+    return k, factors[k:]
 
 
 def _index(data: GarsideData, item) -> int:
     """Simple index of one letter: an atom or a simple index."""
     if isinstance(item, Atom):
-        return data.word_indices((item,))[0]
-    if isinstance(item, int):
+        labels = data.atom_labels
+        idx = None if labels is None else labels.get(item)
+        # word_indices raises the error for an atom that is not a letter here
+        return data.word_indices((item,))[0] if idx is None else idx
+    if isinstance(item, int) and not isinstance(item, bool):
         if not 0 <= item < len(data.poset):
             raise ValueError(f"simple index {item} out of range")
         return item
@@ -226,7 +238,7 @@ def group_normal_form(signed_word, data: GarsideData) -> NormalForm:
     or a simple index, sign +1 or -1.  An inverse letter s^-1 is delta^-1
     times the right complement of s; its delta^-1 moves to the front by
     conjugating the letters before it, and the positive word left behind
-    is renormalised once.
+    is normalised in one call of :func:`_renorm`.
 
     >>> from dualbraid import dual_garside_data, parse_type, parse_word
     >>> data = dual_garside_data(parse_type("B2"))
@@ -241,15 +253,15 @@ def group_normal_form(signed_word, data: GarsideData) -> NormalForm:
     letters: list[int] = []
     for item, sign in signed_word:
         idx = _index(data, item)
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
         if sign == 1:
             letters.append(idx)
-        elif sign == -1:
+        else:
             tinv = data.delta_conj_inv
             letters = [tinv[f] for f in letters]
             letters.append(data.right_complement[idx])
             k -= 1
-        else:
-            raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
     dk, factors = _renorm(data, letters)
     return NormalForm(k + dk, tuple(factors))
 

@@ -117,6 +117,20 @@ def test_codec_products_are_mul():
         assert tuple(group.mul(u, v)) == tuple(v[x] for x in u), name
         assert tuple(group.mul(v, u)) == tuple(u[x] for x in v), name
         assert group.mul(u, v) == group.act(u, v + group.pad), name
+        assert group.left_div(u, v) == group.mul(group.inv(u), v), name
+
+
+def test_left_div_is_inverse_times():
+    # the byte models divide with one bytes.maketrans; check it on every
+    # pair of A3 and every pair of E8 reflections
+    a3 = coxeter_group(parse_type("A3"))
+    elements = list(a3.enumerate_group())
+    e8 = coxeter_group(parse_type("E8"))
+    for group, among in ((a3, elements), (e8, e8.reflections)):
+        for u in among:
+            u_inv = group.inv(u)
+            for v in among:
+                assert group.left_div(u, v) == group.mul(u_inv, v)
 
 
 def test_dihedral_rotations_and_reflections():

@@ -210,6 +210,44 @@ def test_simple_word_matches_quotient_scan(kind, label):
         assert data.simple_word(i) == _reference_simple_word(data, i)
 
 
+def test_boolean_letters_and_signs_are_refused():
+    # bool is an int subclass: True must not read as simple 1 or sign +1
+    data = dual_garside_data(parse_type("B2"))
+    t1 = parse_word("tau(1)")[0]
+    for letter in (True, False):
+        with pytest.raises(TypeError):
+            group_normal_form([(letter, 1)], data)
+        with pytest.raises(TypeError):
+            normal_form([letter], data)
+    for sign in (True, 1.0, -1.0, 0, 2):
+        with pytest.raises(ValueError, match="sign must be"):
+            group_normal_form([(t1, sign)], data)
+    assert group_normal_form([(t1, 1), (t1, -1)], data) == group_normal_form([], data)
+
+
+@pytest.mark.parametrize(
+    "label,kind",
+    # I2(300) is above BYTE_POINTS, so its model holds image tuples
+    [("A3", bytes), ("I2:300", tuple)],
+)
+def test_left_quotient_matches_group_division(label, kind):
+    data = dual_garside_data(parse_type(label))
+    group, elements = data.group, data.poset.elements
+    index, grades = data.poset.index, data.poset.grades
+    assert type(elements[0]) is kind
+    found = 0
+    for i, u in enumerate(elements):
+        u_inv = group.inv(u)
+        for j, v in enumerate(elements):
+            k = index.get(group.mul(u_inv, v))
+            if k is None or grades[i] + grades[k] != grades[j]:
+                k = None
+            assert data.left_quotient(i, j) == k
+            found += k is not None
+    # every simple divides itself and the top, and is divided by the bottom
+    assert found >= 3 * len(data) - 3
+
+
 def test_atom_labels_none_only_without_named_generators():
     assert dual_garside_data(parse_type("H3")).atom_labels is None
     assert classical_garside_data(parse_type("H3")).atom_labels is None

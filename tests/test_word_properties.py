@@ -3,8 +3,9 @@
 ``ClassStore`` closes words by rewriting over the presentation; normal
 forms come from the simple-element poset and share no code with it, so
 each referees the other on random positive words.  Signed words check the
-group of fractions: w w^-1 has the identity normal form, and the one-pass
-group normal form agrees with the letter-by-letter algorithm it replaced.
+group of fractions: w w^-1 has the identity normal form, and the group
+normal form agrees with a letter-by-letter run of the sweep-until-stable
+loop that Thurston's one-pass algorithm replaced, and is left-weighted.
 """
 
 from functools import cache
@@ -100,6 +101,49 @@ def _garside(kind, label):
     return data, list(data.atom_labels)
 
 
+def _reference_renorm(data, letters):
+    """Slide weight left until a whole sweep changes no pair: the loop that
+    ``garside._renorm`` replaced, dividing through the group inverse."""
+    group, elements, index, grades = (
+        data.group, data.poset.elements, data.poset.index, data.poset.grades
+    )
+
+    def simple(el, grade):
+        k = index.get(el)
+        return k if k is not None and grades[k] == grade else None
+
+    factors = [i for i in letters if i != data.bottom]
+    meet, lc, delta = data.poset.meet_index, data.left_complement, data.delta
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(factors) - 2, -1, -1):
+            x, y = factors[i], factors[i + 1]
+            if x == delta:
+                continue
+            if y == delta:
+                factors[i], factors[i + 1] = delta, data.delta_conj[x]
+                changed = True
+                continue
+            m = meet(lc[x], y)
+            if m == data.bottom:
+                continue
+            x2 = simple(group.mul(elements[x], elements[m]), grades[x] + grades[m])
+            y2 = simple(group.mul(group.inv(elements[m]), elements[y]), grades[y] - grades[m])
+            assert x2 is not None and y2 is not None
+            factors[i] = x2
+            if y2 == data.bottom:
+                del factors[i + 1]
+            else:
+                factors[i + 1] = y2
+            changed = True
+    k = 0
+    while factors and factors[0] == delta:
+        k += 1
+        factors.pop(0)
+    return k, factors
+
+
 def _letterwise_group_normal_form(signed_word, data):
     """Renormalise after every letter, shifting the factors by delta
     conjugation at each inverse letter."""
@@ -108,12 +152,12 @@ def _letterwise_group_normal_form(signed_word, data):
     for atom, sign in signed_word:
         idx = data.word_indices((atom,))[0]
         if sign == 1:
-            dk, factors = garside._renorm(data, factors + [idx])
+            dk, factors = _reference_renorm(data, factors + [idx])
         else:
             shifted = [data.delta_conj_inv[f] for f in factors]
             shifted.append(data.right_complement[idx])
             k -= 1
-            dk, factors = garside._renorm(data, shifted)
+            dk, factors = _reference_renorm(data, shifted)
         k += dk
     return NormalForm(k, tuple(factors))
 
@@ -136,5 +180,12 @@ def test_one_pass_matches_letterwise_normal_form(case):
     data = _garside(kind, label)[0]
     expected = _letterwise_group_normal_form(word, data)
     with mock.patch.object(garside, "_renorm", wraps=garside._renorm) as renorm:
-        assert group_normal_form(word, data) == expected
+        nf = group_normal_form(word, data)
     assert renorm.call_count == 1
+    assert nf == expected
+    # left-weighted: no bottom or delta factor, and no atom of a factor
+    # slides into the one before it
+    assert all(f not in (data.bottom, data.delta) for f in nf.factors)
+    meet, lc = data.poset.meet_index, data.left_complement
+    for x, y in zip(nf.factors, nf.factors[1:]):
+        assert meet(lc[x], y) == data.bottom
