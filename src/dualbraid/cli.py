@@ -72,16 +72,13 @@ def cmd_present(args) -> int:
     print(f"# {args.flavor} presentation of type {ctype}")
     print(f"atoms ({len(pres.atoms)}): " + " ".join(str(a) for a in pres.atoms))
     for rel in pres.relations:
-        print(f"  {presentation.render_word(rel.lhs)} = {presentation.render_word(rel.rhs)}")
+        print(f"  {rel}")
     if pres.garside_word is not None:
         print(f"garside word: {presentation.render_word(pres.garside_word)}")
     if pres.kind == "completed":
         print(f"added: {len(pres.added_relations)}  duplicates skipped: {pres.duplicate_count}")
         for rel in pres.rejected_relations:
-            print(
-                "rejected (not derivable, suspected transcription issue): "
-                f"{presentation.render_word(rel.lhs)} = {presentation.render_word(rel.rhs)}"
-            )
+            print(f"rejected (not derivable, suspected transcription issue): {rel}")
     return 0
 
 
@@ -169,10 +166,7 @@ def _verify_completion(ctype: CoxType, args) -> tuple[dict, bool, list[str]]:
         "type": str(ctype),
         "added": len(pres.added_relations),
         "duplicates_skipped": pres.duplicate_count,
-        "rejected": [
-            [presentation.render_word(r.lhs), presentation.render_word(r.rhs)]
-            for r in pres.rejected_relations
-        ],
+        "rejected": pres.as_dict()["rejected"],
         "ok": ok,
     }
     lines = [
@@ -180,10 +174,7 @@ def _verify_completion(ctype: CoxType, args) -> tuple[dict, bool, list[str]]:
         f"{pres.duplicate_count} duplicates skipped",
     ]
     for rel in pres.rejected_relations:
-        lines.append(
-            "  NOT DERIVABLE (excluded; suspected transcription issue): "
-            f"{presentation.render_word(rel.lhs)} = {presentation.render_word(rel.rhs)}"
-        )
+        lines.append(f"  NOT DERIVABLE (excluded; suspected transcription issue): {rel}")
     lines.append(f"  ok: {ok}")
     return payload, ok, lines
 

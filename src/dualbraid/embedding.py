@@ -19,14 +19,12 @@ from .coxtypes import CoxType
 from .garside import classical_garside_data, dual_garside_data, equal_in_group, group_normal_form
 from .presentation import (
     Atom,
-    Relation,
     alpha,
     band,
     beta,
     classical_presentation,
     completed_dual_presentation,
     dual_atoms,
-    render_word,
     sigma,
     tau,
 )
@@ -107,12 +105,6 @@ def _signed_projection(group, word: SignedWord):
     return el
 
 
-def _relation_image(rel: Relation, ctype: CoxType) -> tuple[SignedWord, SignedWord]:
-    lhs = tuple(x for a in rel.lhs for x in dual_atom_as_classical_word(a, ctype))
-    rhs = tuple(x for a in rel.rhs for x in dual_atom_as_classical_word(a, ctype))
-    return lhs, rhs
-
-
 @dataclass
 class EmbeddingReport:
     """Per-relation outcome of a substitution check."""
@@ -143,33 +135,36 @@ class EmbeddingReport:
 
 def verify_dual_relations_in_group(ctype: CoxType) -> EmbeddingReport:
     """Map every dual and completed-dual relation through the classical
-    words and decide each equality in the Artin group."""
+    words and decide each equality in the Artin group.
+
+    Each atom's classical word, and its letters as simple indices, are
+    built once; a relation side is the concatenation of its atoms' letters.
+    """
     report = EmbeddingReport("embedding", ctype)
+    # refuses a type without an explicit presentation before any group work
+    completed = completed_dual_presentation(ctype)
     data = classical_garside_data(ctype)
     group = data.group
-    completed = completed_dual_presentation(ctype)
+    words = {a: dual_atom_as_classical_word(a, ctype) for a in dual_atoms(ctype)}
+    labels = data.atom_labels
+    letters = {a: tuple((labels[x], s) for x, s in w) for a, w in words.items()}
 
-    for a in dual_atoms(ctype):
-        img = _signed_projection(group, dual_atom_as_classical_word(a, ctype))
-        if img != group.atom_image(a):
+    for a, word in words.items():
+        if _signed_projection(group, word) != group.atom_image(a):
             report.projection_ok = False
             report.failures.append(f"projection mismatch for {a}")
 
-    delta_word = completed.garside_word or ()
-    delta_img = tuple(
-        x for a in delta_word for x in dual_atom_as_classical_word(a, ctype)
-    )
+    delta_img = tuple(x for a in completed.garside_word for x in words[a])
     if _signed_projection(group, delta_img) != group.coxeter_element:
         report.garside_image_ok = False
         report.failures.append("Garside word image does not project to c")
 
     for rel in dict.fromkeys(completed.relations):
-        lhs, rhs = _relation_image(rel, ctype)
+        lhs = tuple(x for a in rel.lhs for x in letters[a])
+        rhs = tuple(x for a in rel.rhs for x in letters[a])
         report.relations += 1
         if group_normal_form(lhs, data) != group_normal_form(rhs, data):
-            report.failures.append(
-                f"{render_word(rel.lhs)} = {render_word(rel.rhs)} fails in the group"
-            )
+            report.failures.append(f"{rel} fails in the group")
     return report
 
 
@@ -205,12 +200,12 @@ def verify_classical_from_dual(ctype: CoxType) -> EmbeddingReport:
     else:
         report = EmbeddingReport("classical-from-dual-oracle", ctype)
         equivalent = ClassStore(completed_dual_presentation(ctype)).words_equivalent
-    for rel in classical_presentation(ctype).relations:
-        lhs = tuple(x for a in rel.lhs for x in classical_atom_as_dual_word(a, ctype))
-        rhs = tuple(x for a in rel.rhs for x in classical_atom_as_dual_word(a, ctype))
+    classical = classical_presentation(ctype)
+    words = {a: classical_atom_as_dual_word(a, ctype) for a in classical.atoms}
+    for rel in classical.relations:
+        lhs = tuple(x for a in rel.lhs for x in words[a])
+        rhs = tuple(x for a in rel.rhs for x in words[a])
         report.relations += 1
         if not equivalent(lhs, rhs):
-            report.failures.append(
-                f"{render_word(rel.lhs)} = {render_word(rel.rhs)} is not derivable"
-            )
+            report.failures.append(f"{rel} is not derivable")
     return report

@@ -25,6 +25,8 @@ from .presentation import (
     dual_atoms,
     dual_presentation,
     render_word,
+    sigma,
+    tau,
 )
 
 
@@ -106,33 +108,23 @@ def halfturn_fixed_check(n: int) -> HalfturnReport:
         if not oracle.words_equivalent(
             apply_halfturn(rel.lhs, phi), apply_halfturn(rel.rhs, phi)
         ):
-            report.failures.append(
-                f"shifted relation {render_word(rel.lhs)} = {render_word(rel.rhs)} fails"
-            )
+            report.failures.append(f"shifted relation {rel} fails")
 
     data = dual_garside_data(atype)
     candidates = _positive_candidates(data)
-    sigma_image = {
-        i: (band(n + 1 + i, n + i), band(i + 1, i)) for i in range(1, n)
-    }
-    tau_image = (band(n + 1, 1),)
-
-    def classical_to_a(letter: Atom, sign: int) -> list[tuple[int, int]]:
-        if letter.family == "tau":
-            word = tau_image
-        else:
-            word = sigma_image[letter.i]
+    # each classical letter of B(n), with its sign, as A(2n-1) simple indices
+    b_to_a = {tau(1): (band(n + 1, 1),)}
+    b_to_a.update({sigma(i): (band(n + 1 + i, n + i), band(i + 1, i)) for i in range(1, n)})
+    to_a = {}
+    for letter, word in b_to_a.items():
         idx = [data.atom_labels[a] for a in word]
-        if sign == -1:
-            return [(i, -1) for i in reversed(idx)]
-        return [(i, 1) for i in idx]
+        to_a[letter, 1] = tuple((i, 1) for i in idx)
+        to_a[letter, -1] = tuple((i, -1) for i in reversed(idx))
 
     images: dict[Atom, Word] = {}
     for atom in dual_atoms(btype):
-        signed = []
-        for letter, sign in dual_atom_as_classical_word(atom, btype):
-            signed.extend(classical_to_a(letter, sign))
-        nf = group_normal_form(tuple(signed), data)
+        signed = tuple(x for pair in dual_atom_as_classical_word(atom, btype) for x in to_a[pair])
+        nf = group_normal_form(signed, data)
         pos = candidates.get(nf)
         if pos is None:
             report.failures.append(f"image of {atom} is not a short positive word")
@@ -148,9 +140,7 @@ def halfturn_fixed_check(n: int) -> HalfturnReport:
     for rel in dual_presentation(btype).relations:
         report.mapped_relations += 1
         if not oracle.words_equivalent(psi(rel.lhs), psi(rel.rhs)):
-            report.failures.append(
-                f"mapped relation {render_word(rel.lhs)} = {render_word(rel.rhs)} fails"
-            )
+            report.failures.append(f"mapped relation {rel} fails")
 
     for atom, word in images.items():
         if not oracle.words_equivalent(apply_halfturn(word, phi), word):

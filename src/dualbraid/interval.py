@@ -267,22 +267,23 @@ def weak_order_poset(ctype: CoxType) -> IntervalPoset:
             f"group order {ctype.group_order} exceeds the classical guard {WEAK_ORDER_CAP}"
         )
     group = coxeter_group(ctype)
-    pad, act = group.pad, group.act
-    # byte strings of equal length sort as their image tuples do
-    depth = group.enumerate_group()
-    ordered = sorted(depth.items(), key=lambda kv: (kv[1], kv[0]))
-    elements = [el for el, _ in ordered]
-    grades = [g for _, g in ordered]
-    index = {el: i for i, el in enumerate(elements)}
-    tables = [s + pad for s in group.simples]
+    act = group.act
+    # the search's element -> length dict becomes element -> index once the
+    # order is fixed; byte strings of equal length sort as their image
+    # tuples do
+    index = group.enumerate_group()
+    elements = sorted(index, key=lambda el: (index[el], el))
+    grades = [index[el] for el in elements]
+    index.update(zip(elements, range(len(elements))))
+    tables = [s + group.pad for s in group.simples]
     edges = []
-    for vi, (v, g) in enumerate(ordered):
+    for vi, v in enumerate(elements):
         for table in tables:
-            u = act(v, table)
-            if depth[u] == g - 1:
-                edges.append((index[u], vi))
-    w0 = elements[-1] + pad
-    komp = tuple(index[act(group.inv(el), w0)] for el in elements)
+            ui = index[act(v, table)]
+            if grades[ui] == grades[vi] - 1:
+                edges.append((ui, vi))
+    w0 = elements[-1]
+    komp = tuple(index[group.left_div(el, w0)] for el in elements)
     return IntervalPoset(ctype, group, elements, grades, edges, komp, "weak")
 
 

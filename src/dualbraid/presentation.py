@@ -38,7 +38,6 @@ __all__ = [
     "sigma",
     "band",
     "expand_family",
-    "chain_relations",
     "dual_atoms",
     "classical_atoms",
     "dual_presentation",
@@ -157,18 +156,6 @@ def expand_family(atoms: Sequence[Atom]) -> list[Relation]:
         raise ValueError("a relation family needs at least two atoms")
     products = [(atoms[i], atoms[(i + 1) % p]) for i in range(p)]
     return [Relation(products[i], products[i + 1]) for i in range(p - 1)]
-
-
-def chain_relations(words: Sequence[Word]) -> tuple[list[Relation], int]:
-    """Adjacent equalities of a chain w1 = w2 = ... = wp.
-
-    Returns the distinct relations plus the number of duplicates that the
-    chain repeats verbatim (a repeated word in the chain re-states an
-    equality already emitted).
-    """
-    rels = [Relation(tuple(left), tuple(right)) for left, right in zip(words, words[1:])]
-    out = [rel for rel in dict.fromkeys(rels) if rel.lhs != rel.rhs]
-    return out, len(rels) - len(out)
 
 
 @dataclass(frozen=True)
@@ -559,31 +546,32 @@ def completed_dual_presentation(ctype: CoxType) -> Presentation:
     consequences of the base relations are *not* added; they are recorded
     in ``rejected_relations`` so callers can flag them.  Adding an
     underivable relation would change the monoid, so rejecting is the
-    only sound option.  Series A and I2 need no extras.
+    only sound option.  Series A and I2 need no extras.  The candidates
+    are the adjacent equalities of the B chains, then the extra relations;
+    one whose sides are equal, or that is already stated, counts as a
+    duplicate and is not checked.
     """
     base = dual_presentation(ctype)
-    added: list[Relation] = []
-    duplicates = 0
+    candidates: list[Relation] = []
     if ctype.series == "B":
         for chain in _completion_chains_b(ctype.rank):
-            rels, dups = chain_relations(chain)
-            added.extend(rels)
-            duplicates += dups
-        added.extend(_completion_extras_b(ctype.rank))
+            candidates.extend(Relation(u, v) for u, v in zip(chain, chain[1:]))
+        candidates.extend(_completion_extras_b(ctype.rank))
     elif ctype.series == "D":
-        added.extend(_completion_extras_d(ctype.rank))
-    base_relations = set(base.relations)
-    unique = dict.fromkeys(added)
-    duplicates += len(added) - len(unique)
-    fresh: list[Relation] = []
-    rejected: list[Relation] = []
+        candidates.extend(_completion_extras_d(ctype.rank))
     from . import congruence
 
     oracle = congruence.ClassStore(base)
-    for rel in unique:
-        if rel in base_relations:
+    seen = set(base.relations)
+    duplicates = 0
+    fresh: list[Relation] = []
+    rejected: list[Relation] = []
+    for rel in candidates:
+        if rel.lhs == rel.rhs or rel in seen:
             duplicates += 1
-        elif oracle.derivable(rel):
+            continue
+        seen.add(rel)
+        if oracle.derivable(rel):
             fresh.append(rel)
         else:
             rejected.append(rel)

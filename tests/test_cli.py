@@ -177,6 +177,22 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_verify_embedding_names_the_missing_presentation(capsys):
+    # E6 has an order over the weak-order cap, but that is not the reason
+    assert main(["verify", "embedding", "E6"]) == 2
+    assert "no explicit dual presentation for E6" in capsys.readouterr().err
+
+
+def test_verify_embedding_refuses_before_building_the_weak_order(capsys, monkeypatch):
+    # H4 is refused before its 14,400-element weak order is built
+    def no_weak_order(ctype):
+        raise AssertionError("weak order built for a type the check refuses")
+
+    monkeypatch.setattr(dualbraid.garside, "weak_order_poset", no_weak_order)
+    assert main(["verify", "embedding", "H4"]) == 2
+    assert "no explicit dual presentation for H4" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv,size",
     [

@@ -9,7 +9,7 @@ from dualbraid import (
 )
 from dualbraid import embedding
 from dualbraid.embedding import classical_atom_as_dual_word
-from dualbraid.presentation import classical_atoms
+from dualbraid.presentation import alpha, classical_atoms
 
 
 def _projection(group, signed_word):
@@ -93,3 +93,24 @@ def test_classical_engine_matches_group_projection():
         doubled = list(signed) + list(signed)
         assert _projection(group, doubled) == group.identity
         assert nf == group_normal_form(signed, data)
+
+
+def test_wrong_atom_word_fails_the_embedding_check(monkeypatch):
+    # give alpha(3,2) the word of alpha(2,1): the substitution no longer
+    # lifts the atoms, so the check must fail and name what broke
+    original = embedding.dual_atom_as_classical_word
+
+    def wrong(atom, ctype):
+        return original(alpha(2, 1) if atom == alpha(3, 2) else atom, ctype)
+
+    monkeypatch.setattr(embedding, "dual_atom_as_classical_word", wrong)
+    report = verify_dual_relations_in_group(parse_type("B3"))
+    assert not report.ok
+    assert not report.projection_ok
+    assert not report.garside_image_ok
+    assert report.failures[:3] == [
+        "projection mismatch for alpha(3,2)",
+        "projection mismatch for beta(3,2)",
+        "Garside word image does not project to c",
+    ]
+    assert len(report.failures) == 17

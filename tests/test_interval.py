@@ -507,6 +507,25 @@ def test_weak_order_poset():
         weak_order_poset(parse_type("E7"))
 
 
+@pytest.mark.parametrize("name", ["A4", "B4", "D4", "I2(257)"])
+def test_weak_order_invariants(name):
+    # checked with the group's own product only; I2(257) has 257 points,
+    # so its elements are image tuples
+    ct = parse_type(name)
+    poset = weak_order_poset(ct)
+    group = poset.group
+    elements, grades = poset.elements, poset.grades
+    assert len(poset.cover_edges) == len(elements) * ct.rank // 2
+    simples = set(group.simples)
+    for lo, hi in poset.cover_edges:
+        u, v = elements[lo], elements[hi]
+        assert any(group.mul(u, s) == v for s in simples)
+        assert grades[hi] == grades[lo] + 1
+    top = elements[poset.top]
+    for i, k in enumerate(poset.komp):
+        assert group.mul(elements[i], elements[k]) == top
+
+
 def test_weak_order_cap_is_read_at_call_time(monkeypatch):
     monkeypatch.setattr(interval, "WEAK_ORDER_CAP", 23)
     with pytest.raises(ValueError, match="classical guard 23"):

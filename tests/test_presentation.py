@@ -109,6 +109,26 @@ def test_completion_counts_and_duplicates():
     assert d4.rejected_relations == ()
 
 
+@pytest.mark.parametrize(
+    "name,added,rejected,duplicates",
+    [
+        ("B5", 80, 0, 10),
+        ("B6", 190, 0, 20),
+        ("B7", 385, 0, 35),
+        ("D5", 47, 1, 0),
+        ("D6", 125, 5, 0),
+        ("D7", 270, 15, 0),
+    ],
+)
+def test_completion_bookkeeping_at_ranks_5_to_7(name, added, rejected, duplicates):
+    ct = parse_type(name)
+    pres = completed_dual_presentation(ct)
+    assert len(pres.added_relations) == added
+    assert len(pres.rejected_relations) == rejected
+    assert pres.duplicate_count == duplicates
+    assert pres.relations == dual_presentation(ct).relations + pres.added_relations
+
+
 def test_completion_rejects_unsound_candidates_at_d5():
     # one instantiated candidate holds in W but not in the braid group;
     # it must be excluded and reported, never silently added
