@@ -21,8 +21,6 @@ from . import congruence, embedding, garside, halfturn, interval, presentation
 from .coxeter import coxeter_group, word_image
 from .coxtypes import CoxType, parse_type
 
-EXPLICIT = ("A", "B", "D", "I2")
-
 TABLE_TYPES = (
     [f"A{n}" for n in range(1, 8)]
     + [f"B{n}" for n in range(2, 7)]
@@ -143,8 +141,11 @@ def _verify_lattice(ctype: CoxType, args) -> tuple[dict, bool, list[str]]:
 
 
 def _verify_embedding(ctype: CoxType, args) -> tuple[dict, bool, list[str]]:
-    fwd = embedding.verify_dual_relations_in_group(ctype)
-    rev = embedding.verify_classical_from_dual(ctype)
+    # one completion serves both directions; it also refuses a type with no
+    # explicit presentation before any group work
+    completed = presentation.completed_dual_presentation(ctype)
+    fwd = embedding._dual_relations_in_group(completed)
+    rev = embedding._classical_from_dual(completed)
     ok = fwd.ok and rev.ok
     payload = {"forward": fwd.as_dict(), "reverse": rev.as_dict(), "ok": ok}
     lines = [

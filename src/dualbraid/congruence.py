@@ -2,25 +2,26 @@
 
 All relations in the presentations used here preserve word length, so
 the congruence class of a word is finite and can be closed off by
-breadth-first search.  :class:`ClassStore` memoizes those closures and
-answers equality, divisibility and Garside-word questions exactly,
-without consulting any group model.  Its rewrite rules are indexed by the
-first two codes of a side, so a word costs one lookup per adjacent pair;
-every relation side must therefore have at least two atoms.
+applying every rule until no new word appears.  :class:`ClassStore`
+memoizes those closures and answers equality, divisibility and
+Garside-word questions exactly, without consulting any group model.  Its
+rewrite rules are indexed by the first two codes of a side, so a word
+costs one lookup per adjacent pair; every relation side must therefore
+have at least two atoms.
 
 On top of the raw congruence sit the syntactic tools of subword
 reversing: a right-complement table extracted from the relation sides
 (:class:`ComplementTable`), the reversing procedure itself
 (:func:`reverse_words`), and the associativity test for iterated
-complements (:func:`cube_condition`).  The table precomputes the
-replacement f(x,y) f(y,x)^-1 of every x^-1 y it can reverse, and both
-consumers reverse on that swap table, one lookup per step.  The table may
-be partial; all consumers tolerate reversing getting stuck and report it.
+complements (:func:`cube_condition`).  The table precomputes the pair
+(f(x,y), f(y,x)) of every x^-1 y it can reverse, and both consumers
+reverse on that swap table with one engine, which divides letter by
+letter and memoises each one-letter division.  The table may be partial;
+all consumers tolerate reversing getting stuck and report it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import permutations
 from random import Random
@@ -63,29 +64,27 @@ class ClassStore:
         self._classes: list[frozenset[Codes]] = []
         self._id_of: dict[Codes, int] = {}
 
-    def _neighbors(self, word: Codes):
-        rules = self._rules
-        for i in range(len(word) - 1):
-            for rest, repl in rules.get(word[i : i + 2], ()):
-                end = i + len(repl)  # both sides of a rule have one length
-                if not rest or word[i + 2 : end] == rest:
-                    yield word[:i] + repl + word[end:]
-
     def _class_of(self, word: Codes) -> int:
         cid = self._id_of.get(word)
         if cid is not None:
             return cid
+        cap, rules = CLASS_CAP, self._rules
         seen = {word}
-        queue = deque([word])
-        while queue:
-            w = queue.popleft()
-            for nb in self._neighbors(w):
-                if nb not in seen:
-                    if len(seen) >= CLASS_CAP:
-                        text = render_word(self.presentation.decode(word))
-                        raise RuntimeError(f"congruence class of {text} exceeds cap {CLASS_CAP}")
-                    seen.add(nb)
-                    queue.append(nb)
+        stack = [word]
+        while stack:
+            w = stack.pop()
+            for i in range(len(w) - 1):
+                for rest, repl in rules.get(w[i : i + 2], ()):
+                    end = i + len(repl)  # both sides of a rule have one length
+                    if rest and w[i + 2 : end] != rest:
+                        continue
+                    nb = w[:i] + repl + w[end:]
+                    if nb not in seen:
+                        if len(seen) >= cap:
+                            text = render_word(self.presentation.decode(word))
+                            raise RuntimeError(f"congruence class of {text} exceeds cap {cap}")
+                        seen.add(nb)
+                        stack.append(nb)
         cid = len(self._classes)
         self._classes.append(frozenset(seen))
         for w in seen:
@@ -247,10 +246,14 @@ class ComplementTable:
         }
 
 
-def _swap_table(entries: dict[tuple[int, int], Codes]) -> dict[tuple[int, int], Codes]:
-    """The reversal step x^-1 y -> f(x,y) f(y,x)^-1, for pairs with both entries."""
+Swaps = dict[tuple[int, int], tuple[Codes, Codes]]
+
+
+def _swap_table(entries: dict[tuple[int, int], Codes]) -> Swaps:
+    """The reversal step x^-1 y -> f(x,y) f(y,x)^-1 as the pair (f(x,y), f(y,x)),
+    for pairs with both entries."""
     return {
-        (x, y): fxy + tuple(~a for a in reversed(entries[(y, x)]))
+        (x, y): (fxy, entries[(y, x)])
         for (x, y), fxy in entries.items()
         if (y, x) in entries
     }
@@ -266,32 +269,59 @@ class ReversalResult:
     steps: int
 
 
-def _reverse(swaps: dict[tuple[int, int], Codes], u: Codes, v: Codes):
-    """Right-reverse u^-1 v over codes; a letter x^-1 is stored as ~x.
+def _reverse(swaps: Swaps, u: Codes, v: Codes, memo: dict | None = None):
+    """Right-reverse u^-1 v over codes, the leftmost x^-1 y first.
 
-    Each step replaces the leftmost x^-1 y.  Nothing left of it changes,
-    so the search for the next one resumes one letter back.
+    Returns (status, pos, neg, steps), with u*pos = v*neg when reversed.
+    The leftmost-first order divides letter by letter: u^-1 (y v') reverses
+    u^-1 y to p n^-1 and goes on with n^-1 v', and u^-1 y is one step on
+    (u0, y), giving f(u0,y) f(y,u0)^-1, then u[1:]^-1 f(u0,y) reversed to
+    p n^-1, so that u^-1 y = p (f(y,u0) n)^-1.  Each division that ends,
+    reversed or stuck, is memoised on (u, y) with its step count, so calls
+    on one swap table may share ``memo``.  Pending divisions wait on a
+    stack, not on the call stack, and a reversal that needs more than
+    ``MAX_REVERSE_STEPS`` steps stops "diverged" after exactly that many.
     """
-    word = [~a for a in reversed(u)] + list(v)
-    steps = 0
-    i = 0
+    cap = MAX_REVERSE_STEPS
+    if memo is None:
+        memo = {}
+    stack = []  # pending divisions: (key, f(y,u0), steps before, outer pos, outer v, i)
+    pos: Codes = ()
+    i = steps = 0
     while True:
-        last = len(word) - 1
-        while i < last and not word[i] < 0 <= word[i + 1]:
+        if u and i < len(v):
+            key = (u, v[i])
+            hit = memo.get(key)
+            if hit is None:
+                if steps >= cap:
+                    return "diverged", None, None, cap
+                swap = swaps.get((u[0], v[i]))
+                if swap is not None:
+                    stack.append((key, swap[1], steps, pos, v, i))
+                    steps += 1
+                    u, v, pos, i = u[1:], swap[0], (), 0
+                    continue
+                hit = memo[key] = (None, None, 1)
+            hit_pos, hit_neg, hit_steps = hit
+            steps += hit_steps
+            if steps > cap:
+                return "diverged", None, None, cap
+            if hit_pos is None:
+                for waiting, _, before, *_ in stack:
+                    memo[waiting] = (None, None, steps - before)
+                return "stuck", None, None, steps
+            pos += hit_pos
+            u = hit_neg
             i += 1
-        if i >= last:
-            pos = tuple([a for a in word if a >= 0])
-            neg = tuple([~a for a in reversed(word) if a < 0])
-            return "reversed", pos, neg, steps
-        if steps >= MAX_REVERSE_STEPS:
-            return "diverged", None, None, steps
-        steps += 1
-        swap = swaps.get((~word[i], word[i + 1]))
-        if swap is None:
-            return "stuck", None, None, steps
-        word[i : i + 2] = swap
-        if i:
-            i -= 1
+            continue
+        pos += v[i:]
+        if not stack:
+            return "reversed", pos, u, steps
+        key, g, before, outer, v, i = stack.pop()
+        u = g + u
+        memo[key] = (pos, u, steps - before)
+        pos = outer + pos
+        i += 1
 
 
 def reverse_words(table: ComplementTable, u, v) -> ReversalResult:
@@ -355,20 +385,28 @@ def cube_condition(
     if table.presentation.atoms != presentation.atoms:
         raise ValueError("the table must share the presentation's atoms")
     store = ClassStore(presentation)
-    triples = list(permutations(range(len(presentation.atoms)), 3))
-    if sample is not None and sample < len(triples):
-        triples = Random(seed).sample(triples, sample)
+    n = len(presentation.atoms)
+    triples = permutations(range(n), 3)
+    if sample is not None and sample < n * (n - 1) * (n - 2):
+        triples = Random(seed).sample(list(triples), sample)
     entries, swaps = table._entries, table._swaps
     report = CubeReport()
+    # the divisions of one first atom's triples overlap, and one memo across
+    # the whole sweep would hold about n times as many entries
+    memo: dict = {}
+    head = None
     for x, y, z in triples:
+        if x != head:
+            memo.clear()
+            head = x
         report.checked += 1
         fxy = entries.get((x, y))
         fyz = entries.get((y, z))
         if fxy is None or fyz is None:
             report.stuck += 1
             continue
-        first, comp_first, _, _ = _reverse(swaps, (z,), (x,) + fxy)
-        second, comp_second, _, _ = _reverse(swaps, (x,), (y,) + fyz)
+        first, comp_first, _, _ = _reverse(swaps, (z,), (x,) + fxy, memo)
+        second, comp_second, _, _ = _reverse(swaps, (x,), (y,) + fyz, memo)
         if "diverged" in (first, second):
             report.diverged += 1
             continue

@@ -19,6 +19,7 @@ from .coxtypes import CoxType
 from .garside import classical_garside_data, dual_garside_data, equal_in_group, group_normal_form
 from .presentation import (
     Atom,
+    Presentation,
     alpha,
     band,
     beta,
@@ -140,9 +141,13 @@ def verify_dual_relations_in_group(ctype: CoxType) -> EmbeddingReport:
     Each atom's classical word, and its letters as simple indices, are
     built once; a relation side is the concatenation of its atoms' letters.
     """
-    report = EmbeddingReport("embedding", ctype)
     # refuses a type without an explicit presentation before any group work
-    completed = completed_dual_presentation(ctype)
+    return _dual_relations_in_group(completed_dual_presentation(ctype))
+
+
+def _dual_relations_in_group(completed: Presentation) -> EmbeddingReport:
+    ctype = completed.ctype
+    report = EmbeddingReport("embedding", ctype)
     data = classical_garside_data(ctype)
     group = data.group
     words = {a: dual_atom_as_classical_word(a, ctype) for a in dual_atoms(ctype)}
@@ -193,13 +198,18 @@ def verify_classical_from_dual(ctype: CoxType) -> EmbeddingReport:
     normal forms there (the two routes are cross-validated at small
     parameters).
     """
+    return _classical_from_dual(completed_dual_presentation(ctype))
+
+
+def _classical_from_dual(completed: Presentation) -> EmbeddingReport:
+    ctype = completed.ctype
     if ctype.series == "I2" and ctype.param > ORACLE_MAX_DIHEDRAL:
         report = EmbeddingReport("classical-from-dual-engine", ctype)
         data = dual_garside_data(ctype)
         equivalent = lambda u, v: equal_in_group(u, v, data)
     else:
         report = EmbeddingReport("classical-from-dual-oracle", ctype)
-        equivalent = ClassStore(completed_dual_presentation(ctype)).words_equivalent
+        equivalent = ClassStore(completed).words_equivalent
     classical = classical_presentation(ctype)
     words = {a: classical_atom_as_dual_word(a, ctype) for a in classical.atoms}
     for rel in classical.relations:

@@ -102,6 +102,21 @@ def test_verify_embedding(capsys):
     assert data["reverse"]["ok"] is True
 
 
+def test_verify_embedding_completes_the_presentation_once(capsys, monkeypatch):
+    builds = []
+    original = dualbraid.presentation.completed_dual_presentation
+
+    def counted(ctype):
+        builds.append(ctype)
+        return original(ctype)
+
+    monkeypatch.setattr(dualbraid.presentation, "completed_dual_presentation", counted)
+    monkeypatch.setattr(dualbraid.embedding, "completed_dual_presentation", counted)
+    code, data = run_json(capsys, "verify", "embedding", "B3")
+    assert code == 0 and data["ok"] is True
+    assert len(builds) == 1
+
+
 def test_verify_completion_exit_codes(capsys):
     code, data = run_json(capsys, "verify", "completion", "B", "4")
     assert code == 0

@@ -1,5 +1,8 @@
+import re
 from collections import deque
 from functools import cache
+from itertools import permutations
+from random import Random
 from unittest import mock
 
 import pytest
@@ -19,8 +22,8 @@ from dualbraid import (
     reverse_words,
 )
 from dualbraid import congruence
-from dualbraid.congruence import ReversalResult
-from dualbraid.presentation import Presentation, Relation, alpha, sigma, tau
+from dualbraid.congruence import CubeReport, ReversalResult
+from dualbraid.presentation import Presentation, Relation, alpha, render_word, sigma, tau
 
 
 def _store(name, kind="dual"):
@@ -287,6 +290,46 @@ def test_one_sided_entry_leaves_reversal_stuck():
     assert congruence._reverse(swaps, (x,), (y,)) == expected
 
 
+# a table whose reversal of 0^-1 1 2 never ends: every step leaves a longer
+# word with a new x^-1 y at its left end
+DIVERGENT_ENTRIES = {
+    (0, 0): (), (1, 1): (), (2, 2): (),
+    (0, 1): (0, 2), (0, 2): (0, 1), (1, 0): (0, 2),
+    (1, 2): (1,), (2, 0): (0, 1), (2, 1): (0, 1),
+}
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 1000])
+def test_endless_reversal_stops_at_the_cap(cap):
+    swaps = congruence._swap_table(DIVERGENT_ENTRIES)
+    with mock.patch.object(congruence, "MAX_REVERSE_STEPS", cap):
+        expected = _reference_reverse(DIVERGENT_ENTRIES, (0,), (1, 2))
+        assert expected == ("diverged", None, None, cap)
+        assert congruence._reverse(swaps, (0,), (1, 2)) == expected
+        # a shared memo holds no partial division that would change a later call
+        memo = {}
+        assert congruence._reverse(swaps, (0,), (1, 2), memo) == expected
+        assert congruence._reverse(swaps, (0,), (1, 2), memo) == expected
+
+
+@pytest.mark.parametrize("kind,label", REVERSAL_TABLES)
+def test_shared_memo_matches_reference(kind, label):
+    # the cube shares one memo between reversals, so a division memoised by
+    # one call, step count included, must give the reference result in the next
+    table = _table(kind, label)
+    entries, swaps = table._entries, table._swaps
+    n = len(table.presentation.atoms)
+    rng = Random(0)
+    for cap in (0, 1, 2, 5, 1000):
+        memo = {}
+        with mock.patch.object(congruence, "MAX_REVERSE_STEPS", cap):
+            for _ in range(400):
+                u = tuple(rng.randrange(n) for _ in range(rng.randrange(1, 5)))
+                v = tuple(rng.randrange(n) for _ in range(rng.randrange(1, 5)))
+                expected = _reference_reverse(entries, u, v)
+                assert congruence._reverse(swaps, u, v, memo) == expected
+
+
 def _reference_class(pres, word):
     """Reference closure: breadth-first, with the rules keyed by the first
     code of a side and every side compared in full."""
@@ -331,3 +374,64 @@ def test_class_words_match_first_code_closure(case):
     label, word = case
     pres, store = _completed_store(label)
     assert store.class_words(word) == _reference_class(pres, word)
+
+
+@cache
+def _reference_class_of(pres, word):
+    return _reference_class(pres, word)
+
+
+def _reference_cube(pres, sample=None, seed=0):
+    """Reference cube: every triple reversed by the reference engine and
+    judged by the reference closure, with no memo shared between triples."""
+    entries = ComplementTable(pres)._entries
+    triples = list(permutations(range(len(pres.atoms)), 3))
+    if sample is not None and sample < len(triples):
+        triples = Random(seed).sample(triples, sample)
+    report = CubeReport()
+    for x, y, z in triples:
+        report.checked += 1
+        fxy, fyz = entries.get((x, y)), entries.get((y, z))
+        if fxy is None or fyz is None:
+            report.stuck += 1
+            continue
+        first = _reference_reverse(entries, (z,), (x,) + fxy)
+        second = _reference_reverse(entries, (x,), (y,) + fyz)
+        statuses = (first[0], second[0])
+        if "diverged" in statuses:
+            report.diverged += 1
+        elif "stuck" in statuses:
+            report.stuck += 1
+        elif pres.decode((x,) + second[1]) in _reference_class_of(
+            pres, pres.decode((z,) + first[1])
+        ):
+            report.passed += 1
+        else:
+            report.failures.append(pres.decode((x, y, z)))
+    return report
+
+
+@pytest.mark.parametrize("kind,label", REVERSAL_TABLES)
+def test_cube_matches_reference_cube(kind, label):
+    pres = _table(kind, label).presentation
+    report = cube_condition(pres)
+    assert report == _reference_cube(pres)
+    assert report.checked == len(pres.atoms) * (len(pres.atoms) - 1) * (len(pres.atoms) - 2)
+    if kind == "dual":
+        # the uncompleted table leaves triples stuck, so that path is compared too
+        assert report.stuck > 0
+    for seed in (0, 7):
+        assert cube_condition(pres, sample=100, seed=seed) == _reference_cube(pres, 100, seed)
+
+
+def test_class_cap_is_the_largest_class_allowed():
+    pres = dual_presentation(parse_type("B3"))
+    word = pres.garside_word
+    size = len(ClassStore(pres).class_words(word))
+    assert size > 1
+    with mock.patch.object(congruence, "CLASS_CAP", size):
+        assert len(ClassStore(pres).class_words(word)) == size
+    text = re.escape(f"congruence class of {render_word(word)} exceeds cap {size - 1}")
+    with mock.patch.object(congruence, "CLASS_CAP", size - 1):
+        with pytest.raises(RuntimeError, match=text):
+            ClassStore(pres).class_words(word)
