@@ -1,13 +1,13 @@
 """Command-line interface: presentations, counts, verification, normal forms.
 
 Exit codes: 0 when every requested check passes, 1 on a verification
-failure or an internal failure (a class over its size cap, a broken
-invariant), 2 on usage errors.  A usage error is a ``ValueError`` (or
-``KeyError``) raised anywhere below :func:`main`, which prints it as one
-``error:`` line: an unknown type, a word outside the alphabet, a sample
-size below one, a ``table1`` run that selects no cell or skips a label
-that is not a cell.  Every subcommand takes ``--json`` for
-machine-readable output.
+failure or an internal failure (a class over its size cap, a poset that
+is not a lattice, a broken invariant), 2 on usage errors.  A usage error
+is a ``ValueError`` (or ``KeyError``) raised anywhere below :func:`main`,
+which prints it as one ``error:`` line: an unknown type, a word outside
+the alphabet, a sample size below one, a ``table1`` run that selects no
+cell or skips a label that is not a cell.  Every subcommand takes
+``--json`` for machine-readable output.
 """
 
 from __future__ import annotations

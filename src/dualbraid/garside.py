@@ -19,7 +19,15 @@ Processing in Groups*, 1992, ch. 9): append one simple at a time to a form
 that is already left-weighted, and slide it left in a single right-to-left
 pass.  A slide leaves the pairs to its right left-weighted, so the pass
 stops at the first pair that does not change (m is the bottom, or x is
-delta, which only the leading delta powers are).
+delta, which only the leading delta powers are).  The slide is one flat
+loop over the poset's arrays (down-set bitmasks, elements, grades, index)
+and the model's ``mul`` and ``left_div``, with the checks of the meet,
+product and quotient methods it stands in for.
+
+A signed word becomes a positive one in one pass: an inverse letter s^-1
+is delta^-1 rc(s), and a letter followed by k inverse letters is
+conjugated once, by the k-th power of x -> delta x delta^-1, read from a
+table of that map's powers built on first use.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .coxtypes import CoxType
-from .interval import IntervalPoset, enumerate_interval, weak_order_poset
+from .interval import IntervalPoset, LatticeError, enumerate_interval, weak_order_poset
 from .presentation import Atom, Word, classical_atoms, dual_atoms, render_word
 
 
@@ -94,6 +102,16 @@ class GarsideData:
         """Conjugation x -> delta x delta^-1, the inverse permutation."""
         rc = self.right_complement
         return tuple(rc[k] for k in rc)
+
+    @cached_property
+    def delta_conj_inv_powers(self) -> tuple[tuple[int, ...], ...]:
+        """The powers of ``delta_conj_inv``, from the identity up to the
+        last one before the map returns to the identity."""
+        step = self.delta_conj_inv
+        powers = [tuple(range(len(step)))]
+        while (nxt := tuple(step[k] for k in powers[-1])) != powers[0]:
+            powers.append(nxt)
+        return tuple(powers)
 
     @cached_property
     def atom_labels(self) -> dict[Atom, int] | None:
@@ -172,10 +190,18 @@ def _renorm(data: GarsideData, letters: list[int]) -> tuple[int, list[int]]:
     does not change: x is delta, or m is the bottom; the factors to its
     left are left-weighted already.  Returns the number of leading delta
     factors and the remaining ones.
+
+    The slide is written out on the poset's arrays: the meet is the one of
+    ``IntervalPoset.meet_index`` and the two new factors are those of
+    ``GarsideData.product`` and ``left_quotient``, with the same checks,
+    so a poset that is not a lattice raises ``LatticeError`` and a factor
+    that is not a simple of the additive grade raises ``RuntimeError``.
     """
+    poset, group = data.poset, data.group
+    down, elements, grades = poset.down_masks, poset.elements, poset.grades
+    lookup, mul, left_div = poset.index.get, group.mul, group.left_div
     bottom, delta = data.bottom, data.delta
-    meet, lc, conj = data.poset.meet_index, data.left_complement, data.delta_conj
-    product, left_quotient = data.product, data.left_quotient
+    lc, conj = data.left_complement, data.delta_conj
     factors: list[int] = []
     for y in letters:
         if y == bottom:
@@ -190,12 +216,26 @@ def _renorm(data: GarsideData, letters: list[int]) -> tuple[int, list[int]]:
                 factors[i] = delta
                 factors[i + 1] = conj[x]
             else:
-                m = meet(lc[x], y)
+                a = lc[x]
+                cand = down[a] & down[y]
+                if not cand:
+                    raise LatticeError(f"no lower bound for indices {a}, {y}")
+                # the candidate of largest index is the only one that can
+                # lie above all the others
+                m = cand.bit_length() - 1
+                if cand & down[m] != cand:
+                    raise LatticeError(f"no unique lower bound for indices {a}, {y}")
                 if m == bottom:
                     break
-                x2 = product(x, m)
-                y2 = left_quotient(m, y)
-                if x2 is None or y2 is None:
+                em, gm = elements[m], grades[m]
+                x2 = lookup(mul(elements[x], em))
+                y2 = lookup(left_div(em, elements[y]))
+                if (
+                    x2 is None
+                    or y2 is None
+                    or grades[x2] != grades[x] + gm
+                    or gm + grades[y2] != grades[y]
+                ):
                     raise RuntimeError("partial product failed during renormalization")
                 factors[i] = y = x2
                 if y2 == bottom:
@@ -237,8 +277,10 @@ def group_normal_form(signed_word, data: GarsideData) -> NormalForm:
     A letter is a pair (x, sign): x an atom of the explicit presentations
     or a simple index, sign +1 or -1.  An inverse letter s^-1 is delta^-1
     times the right complement of s; its delta^-1 moves to the front by
-    conjugating the letters before it, and the positive word left behind
-    is normalised in one call of :func:`_renorm`.
+    conjugating the letters before it, so a letter followed by k inverse
+    letters is conjugated once, by the k-th power of ``delta_conj_inv``,
+    and the positive word left behind is normalised in one call of
+    :func:`_renorm`.
 
     >>> from dualbraid import dual_garside_data, parse_type, parse_word
     >>> data = dual_garside_data(parse_type("B2"))
@@ -249,21 +291,25 @@ def group_normal_form(signed_word, data: GarsideData) -> NormalForm:
     >>> group_normal_form([(data.delta, -1)], data)
     NormalForm(delta_power=-1, factors=())
     """
-    k = 0
     letters: list[int] = []
+    inverse: list[bool] = []
     for item, sign in signed_word:
         idx = _index(data, item)
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
-        if sign == 1:
-            letters.append(idx)
-        else:
-            tinv = data.delta_conj_inv
-            letters = [tinv[f] for f in letters]
-            letters.append(data.right_complement[idx])
-            k -= 1
+        letters.append(idx)
+        inverse.append(sign == -1)
+    k = sum(inverse)
+    if k:
+        powers, rc = data.delta_conj_inv_powers, data.right_complement
+        after = k
+        for p, inv in enumerate(inverse):
+            if inv:
+                after -= 1
+                letters[p] = rc[letters[p]]
+            letters[p] = powers[after % len(powers)][letters[p]]
     dk, factors = _renorm(data, letters)
-    return NormalForm(k + dk, tuple(factors))
+    return NormalForm(dk - k, tuple(factors))
 
 
 def equal_in_group(w1, w2, data: GarsideData) -> bool:

@@ -53,8 +53,12 @@ WEAK_ORDER_CAP = 50_000
 EXHAUSTIVE_LIMIT = 300
 
 
-class LatticeError(Exception):
-    """A pair of poset elements has no unique bound; structural failure."""
+class LatticeError(RuntimeError):
+    """A pair of poset elements has no unique bound; structural failure.
+
+    A ``RuntimeError``, so the command line reports it as an internal
+    failure (exit 1) rather than a traceback.
+    """
 
 
 class IntervalPoset:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import dualbraid
-from dualbraid import congruence, interval
+from dualbraid import congruence, coxeter_group, interval, parse_atom, parse_type
 from dualbraid.cli import TABLE_TYPES, main
 
 
@@ -271,6 +271,24 @@ def test_internal_failure_exits_1(capsys, monkeypatch):
     assert main(["simples", "count", "B3", "--engine", "rewriting"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exceeds cap 3" in err
+
+
+def test_lattice_failure_exits_1(capsys, monkeypatch):
+    # a poset that is not a lattice is an internal failure, not a traceback
+    tau1 = coxeter_group(parse_type("B3")).atom_image(parse_atom("tau(1)"))
+
+    def corrupted(ctype):
+        poset = interval.enumerate_interval(ctype)
+        down = list(poset.down_masks)
+        down[poset.index[tau1]] &= ~(1 << poset.bottom)
+        poset.__dict__["down_masks"] = tuple(down)
+        return poset
+
+    monkeypatch.setattr(dualbraid.garside, "enumerate_interval", corrupted)
+    for argv in (["nf", "B3", "tau(1)*tau(1)"], ["eq", "B3", "tau(1)*tau(1)", "tau(2)"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no lower bound for indices"), err
 
 
 def test_nf_rejects_wrong_alphabet(capsys):

@@ -1,10 +1,17 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dualbraid
 from dualbraid import (
     ClassStore,
+    LatticeError,
     classical_garside_data,
     dual_garside_data,
     dual_presentation,
@@ -261,3 +268,102 @@ def test_atom_labels_surface_an_atom_outside_the_poset(monkeypatch):
     monkeypatch.setattr(SignedPermGroup, "atom_image", lambda self, atom: (-1,))
     with pytest.raises(KeyError):
         data.atom_labels
+
+
+KERNEL_FAILURES = (
+    "no lower bound",
+    "no unique lower bound",
+    "product outside",
+    "product grade",
+    "quotient grade",
+)
+
+
+def _corrupted_b3(case):
+    """A dual B3 structure with one corrupted array, and letters whose
+    normal form reads it; the complement map is checked beforehand."""
+    data = dual_garside_data(parse_type("B3"))
+    poset, lc, group = data.poset, data.left_complement, data.group
+    t1, a32 = (data.atom_labels[a] for a in parse_word("tau(1)*alpha(3,2)"))
+    # a simple of grade 2 whose meet with lc[tau(1)] is alpha(3,2)
+    y = next(
+        j for j in range(len(poset))
+        if poset.grades[j] == 2 and poset.meet_index(lc[t1], j) == a32
+    )
+    down, elements = list(poset.down_masks), list(poset.elements)
+    bottom_bit = 1 << poset.bottom
+    letters = [t1, a32]
+    if case == "no lower bound":
+        # lc[tau(1)] and tau(1) now share nothing, not even the bottom
+        down[t1] &= ~bottom_bit
+        letters = [t1, t1]
+    elif case == "no unique lower bound":
+        # alpha(3,2) is still the largest common bound of lc[tau(1)] and
+        # y, but no longer lies above the bottom
+        down[a32] &= ~bottom_bit
+        letters = [t1, y]
+    elif case == "product outside":
+        # c^2 alpha(3,2) is not a simple
+        c = poset.elements[data.delta]
+        elements[t1] = group.mul(c, c)
+    elif case == "product grade":
+        # 1 alpha(3,2) is a simple of grade 1, not 2
+        elements[t1] = poset.elements[poset.bottom]
+    else:
+        # alpha(3,2)^-1 alpha(3,2) is the bottom, of grade 0, not 1
+        elements[y] = poset.elements[a32]
+        letters = [t1, y]
+    poset.__dict__["down_masks"] = tuple(down)
+    poset.elements = tuple(elements)
+    return data, letters
+
+
+def _kernel_failure(case):
+    """The exception that the normal form of a corrupted case raises."""
+    data, letters = _corrupted_b3(case)
+    try:
+        normal_form(letters, data)
+    except RuntimeError as exc:  # LatticeError is one
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", KERNEL_FAILURES[:2])
+def test_renorm_meet_failure_matches_meet_index(case):
+    data, letters = _corrupted_b3(case)
+    x, y = letters
+    with pytest.raises(LatticeError) as want:
+        data.poset.meet_index(data.left_complement[x], y)
+    assert str(want.value).startswith(case)
+    with pytest.raises(LatticeError) as got:
+        normal_form(letters, data)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("case", KERNEL_FAILURES[2:])
+def test_renorm_factor_that_is_not_a_simple_raises(case):
+    data, letters = _corrupted_b3(case)
+    with pytest.raises(RuntimeError, match="partial product failed during renormalization"):
+        normal_form(letters, data)
+
+
+def test_renorm_failures_do_not_depend_on_assert():
+    # python -O strips assert statements; the same exceptions must come out
+    src = str(Path(dualbraid.__file__).resolve().parent.parent)
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import json, test_garside as t\n"
+        "print(json.dumps([t._kernel_failure(c) for c in t.KERNEL_FAILURES]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = [list(_kernel_failure(c)) for c in KERNEL_FAILURES]
+    assert json.loads(proc.stdout) == expected
+    assert [name for name, _ in expected] == ["LatticeError"] * 2 + ["RuntimeError"] * 3

@@ -8,9 +8,11 @@ normal form agrees with a letter-by-letter run of the sweep-until-stable
 loop that Thurston's one-pass algorithm replaced, and is left-weighted.
 """
 
+import random
 from functools import cache
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,3 +191,17 @@ def test_one_pass_matches_letterwise_normal_form(case):
     meet, lc = data.poset.meet_index, data.left_complement
     for x, y in zip(nf.factors, nf.factors[1:]):
         assert meet(lc[x], y) == data.bottom
+
+
+@pytest.mark.parametrize(
+    "kind,label",
+    # I2(300) is above BYTE_POINTS, so its model holds image tuples; the
+    # classical A4 and D4 models hold byte strings
+    [("dual", "I2:300"), ("classical", "A4"), ("classical", "D4")],
+)
+def test_one_pass_matches_letterwise_on_both_encodings(kind, label):
+    data, atoms = _garside(kind, label)
+    rng = random.Random(f"{kind}:{label}")
+    for _ in range(60):
+        word = [(rng.choice(atoms), rng.choice((1, -1))) for _ in range(rng.randrange(41))]
+        assert group_normal_form(word, data) == _letterwise_group_normal_form(word, data)
