@@ -247,10 +247,10 @@ def cmd_verify(args) -> int:
 def _nf_data(args) -> tuple[CoxType, garside.GarsideData]:
     """The type and Garside structure that ``nf`` and ``eq`` work in."""
     ctype = _type_from_tokens(args.type)
-    if args.classical:
-        return ctype, garside.classical_garside_data(ctype)
     if not ctype.has_explicit_presentation:
         raise ValueError(f"type {ctype} has no named generators for word input")
+    if args.classical:
+        return ctype, garside.classical_garside_data(ctype)
     return ctype, garside.dual_garside_data(ctype)
 
 

@@ -57,8 +57,9 @@ fixed by where it sends two adjacent vertices, and the first rank roots of
 H/F/E are the simple roots, a basis.
 
 The root model builds its roots exactly, over Z or over the golden ring
-Z[phi] for H3 and H4, and answers its two rank questions from them: the
-reflection length, and the moved-space test behind its ``shortenings``.
+Z[phi] for H3 and H4, and answers its two rank questions, the reflection
+length and the moved-space test behind its ``shortenings``, from one left
+null basis of x - 1.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from itertools import chain, filterfalse, repeat
 from typing import Iterable
 
 from .coxtypes import CoxType
-from .exact import GoldenInt, left_null_basis, matrix_rank
+from .exact import GoldenInt, left_null_basis
 from .presentation import Atom, Word
 
 __all__ = [
@@ -343,6 +344,8 @@ class RootGroup(_GroupBase):
     roots are the point set of this model.
     There is one reflection per +- root pair, the conjugate of a simple
     reflection along the path that reached its root.
+    Both rank questions go through one left null basis of w - 1: l_T(w)
+    = codim Fix(w) is n minus its size, and its rows cut out im(w - 1).
     """
 
     def __init__(self, ctype: CoxType):
@@ -398,7 +401,7 @@ class RootGroup(_GroupBase):
         ]
 
     def refl_length(self, u) -> int:
-        return matrix_rank(self._moved(u))
+        return self.n - len(left_null_basis(self._moved(u)))
 
     def shortenings(self, x, length: int, among):
         """Pairs (i, t x) over the reflections t = reflections[i] below x.

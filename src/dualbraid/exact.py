@@ -2,9 +2,9 @@
 
 Crystallographic types work over the integers.  The types H3 and H4 need
 the golden ring Z[phi] with phi^2 = phi + 1, implemented here as
-:class:`GoldenInt`.  Ranks and left null spaces of integer or golden
-matrices are computed by fraction-free elimination, so every division is
-exact.
+:class:`GoldenInt`.  Left null spaces of integer or golden matrices are
+computed by cross-multiplication elimination, which needs no exact
+division; the root model answers both its rank questions from one.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-__all__ = ["GoldenInt", "matrix_rank", "left_null_basis"]
+__all__ = ["GoldenInt", "left_null_basis"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,8 +23,6 @@ class GoldenInt:
     >>> phi = GoldenInt(0, 1)
     >>> phi * phi == phi + 1
     True
-    >>> (GoldenInt(2, 1) * GoldenInt(0, 3)).exact_div(GoldenInt(0, 3))
-    GoldenInt(a=2, b=1)
     """
 
     a: int
@@ -62,69 +60,12 @@ class GoldenInt:
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
 
-    def conjugate(self) -> "GoldenInt":
-        """Image under phi -> 1 - phi."""
-        return GoldenInt(self.a + self.b, -self.b)
-
-    def norm(self) -> int:
-        """Integer self * self.conjugate()."""
-        return self.a * self.a + self.a * self.b - self.b * self.b
-
-    def exact_div(self, other: "GoldenInt | int") -> "GoldenInt":
-        other = GoldenInt.coerce(other)
-        n = other.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Z[phi]")
-        num = self * other.conjugate()
-        if num.a % n or num.b % n:
-            raise ArithmeticError(f"{self} is not divisible by {other}")
-        return GoldenInt(num.a // n, num.b // n)
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
         if self.a == 0:
             return f"{self.b}*phi"
         return f"{self.a}{self.b:+d}*phi"
-
-
-def _exact_int_div(x: int, y: int) -> int:
-    q, r = divmod(x, y)
-    if r:
-        raise ArithmeticError(f"{x} is not divisible by {y}")
-    return q
-
-
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix over Z or Z[phi] by fraction-free elimination.
-
-    >>> matrix_rank([[2, 4], [1, 2]])
-    1
-    >>> matrix_rank([[GoldenInt(0, 1), GoldenInt(1, 0)], [GoldenInt(1, 1), GoldenInt(0, 0)]])
-    2
-    """
-    mat = [list(row) for row in rows]
-    if not mat or not mat[0]:
-        return 0
-    nrows, ncols = len(mat), len(mat[0])
-    golden = any(isinstance(x, GoldenInt) for x in mat[0])
-    div = GoldenInt.exact_div if golden else _exact_int_div
-    denom = GoldenInt(1, 0) if golden else 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                mat[i][j] = div(mat[r][c] * mat[i][j] - mat[i][c] * mat[r][j], denom)
-            mat[i][c] = mat[r][c] - mat[r][c]
-        denom = mat[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
 
 
 def _reduce_int_vector(vec: list) -> list:

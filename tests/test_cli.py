@@ -303,6 +303,23 @@ def test_nf_classical_exceptional_is_a_usage_error(capsys):
     assert err.startswith("error:")
 
 
+def test_nf_classical_names_the_missing_generators(capsys):
+    # E6 has an order over the classical guard, but that is not the reason
+    assert main(["nf", "E6", "s1", "--classical"]) == 2
+    assert "type E6 has no named generators" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["nf", "H4", "s1"], ["eq", "H4", "s1", "s1"]])
+def test_nf_eq_classical_refuse_before_building_the_weak_order(capsys, monkeypatch, argv):
+    # H4 is refused before its 14,400-element weak order is built
+    def no_weak_order(ctype):
+        raise AssertionError("weak order built for a type nf and eq refuse")
+
+    monkeypatch.setattr(dualbraid.garside, "weak_order_poset", no_weak_order)
+    assert main(argv + ["--classical"]) == 2
+    assert "type H4 has no named generators" in capsys.readouterr().err
+
+
 GOLDEN = Path(__file__).with_name("golden_nf_eq.json")
 
 

@@ -16,7 +16,7 @@ from dualbraid import (
 )
 from dualbraid import coxeter, interval
 from dualbraid.cli import TABLE_TYPES
-from dualbraid.exact import GoldenInt, matrix_rank
+from dualbraid.exact import GoldenInt
 
 
 def test_counts_match_closed_forms():
@@ -73,19 +73,18 @@ def _matmul(a, b):
     )
 
 
-def _rank_of_difference(a, b):
-    n = len(a)
-    return matrix_rank([[a[i][j] - b[i][j] for j in range(n)] for i in range(n)])
-
-
-def _interval_by_definition(cartan, one):
+def _interval_by_definition(cartan, one, rank):
     """Elements and cover pairs of [1, c], straight from the definition.
 
     A breadth-first search over reflection matrices reaches the whole
     group; u is kept when l(u) + l(u^-1 c) = n, with l(w) = rank(w - 1)
-    and l(u^-1 v) = rank(v - u).
+    and l(u^-1 v) = rank(v - u), each rank taken by ``rank``.
     """
     n = len(cartan)
+
+    def _rank_of_difference(a, b):
+        return rank([[a[i][j] - b[i][j] for j in range(n)] for i in range(n)])
+
     zero = one - one
     ident = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
     simples = [
@@ -121,12 +120,12 @@ def _interval_by_definition(cartan, one):
     return len(group), kept, covers
 
 
-def test_interval_matches_its_definition():
-    # shares no code with the engine: its own matrices and group search,
-    # with the root model read only to turn elements into matrices
+def test_interval_matches_its_definition(exact_rank):
+    # shares no code with the engine: its own matrices, group search and
+    # ranks, with the root model read only to turn elements into matrices
     for name in ["H3", "F4"]:
         ct = parse_type(name)
-        order, kept, covers = _interval_by_definition(*_DEFINITION_CARTAN[name])
+        order, kept, covers = _interval_by_definition(*_DEFINITION_CARTAN[name], exact_rank)
         assert order == ct.group_order
         poset = enumerate_interval(ct)
         roots, n = poset.group.roots, ct.rank
