@@ -1,13 +1,14 @@
 """Ground-truth word calculus for a homogeneous presentation.
 
 All relations in the presentations used here preserve word length, so
-the congruence class of a word is finite and can be closed off by
-applying every rule until no new word appears.  :class:`ClassStore`
-memoizes those closures and answers equality, divisibility and
-Garside-word questions exactly, without consulting any group model.  Its
-rewrite rules are indexed by the first two codes of a side, so a word
-costs one lookup per adjacent pair; every relation side must therefore
-have at least two atoms.
+the congruence class of a word is finite.  :class:`ClassStore` answers
+equality, divisibility and Garside-word questions exactly, without
+consulting any group model, by one breadth-first search over relation
+moves: from one word it closes and memoizes the word's class, and from
+two words it grows both sides and stops at the first word they share.
+Its rewrite rules are indexed by the first two codes of a side, so a
+word costs one lookup per adjacent pair; every relation side must
+therefore have at least two atoms.
 
 On top of the raw congruence sit the syntactic tools of subword
 reversing: a right-complement table extracted from the relation sides
@@ -46,7 +47,15 @@ MAX_REVERSE_STEPS = 1000
 
 
 class ClassStore:
-    """Memoized congruence classes of a homogeneous presentation."""
+    """Memoized congruence classes of a homogeneous presentation.
+
+    Divisor and Garside-word questions close whole classes.  Equality
+    questions search from both words and close a class only when one side
+    runs out, so two equal words are found equal without closing either
+    class.  Each closed class, and each side of a search, holds at most
+    ``CLASS_CAP`` words; past that the store raises ``RuntimeError``
+    naming the word the overflowing side started from.
+    """
 
     def __init__(self, presentation: Presentation):
         for rel in presentation.relations:
@@ -64,32 +73,55 @@ class ClassStore:
         self._classes: list[frozenset[Codes]] = []
         self._id_of: dict[Codes, int] = {}
 
+    def _search(self, u: Codes, v: Codes | None = None) -> int | None:
+        """Breadth-first search from u, and from v when it is given.
+
+        Each round expands by one level the side with the smaller frontier,
+        u's on a tie, and returns None at the first word that the other
+        side has already seen.  A side whose frontier runs out has seen its
+        whole class: that class is memoised and its id returned.  Each
+        side's seen set holds at most ``CLASS_CAP`` words.
+        """
+        if u == v:
+            return None
+        cap, rules = CLASS_CAP, self._rules
+        sides = [(u, {u}, [u])]
+        if v is not None:
+            sides.append((v, {v}, [v]))
+        other: set[Codes] = set()
+        k = 0
+        while True:
+            if len(sides) == 2:
+                k = 0 if len(sides[0][2]) <= len(sides[1][2]) else 1
+                other = sides[1 - k][1]
+            start, seen, frontier = sides[k]
+            grown = []
+            for w in frontier:
+                for i in range(len(w) - 1):
+                    for rest, repl in rules.get(w[i : i + 2], ()):
+                        end = i + len(repl)  # both sides of a rule have one length
+                        if rest and w[i + 2 : end] != rest:
+                            continue
+                        nb = w[:i] + repl + w[end:]
+                        if nb not in seen:
+                            if nb in other:
+                                return None
+                            if len(seen) >= cap:
+                                text = render_word(self.presentation.decode(start))
+                                raise RuntimeError(f"congruence class of {text} exceeds cap {cap}")
+                            seen.add(nb)
+                            grown.append(nb)
+            if not grown:
+                cid = len(self._classes)
+                self._classes.append(frozenset(seen))
+                for w in seen:
+                    self._id_of[w] = cid
+                return cid
+            sides[k] = (start, seen, grown)
+
     def _class_of(self, word: Codes) -> int:
         cid = self._id_of.get(word)
-        if cid is not None:
-            return cid
-        cap, rules = CLASS_CAP, self._rules
-        seen = {word}
-        stack = [word]
-        while stack:
-            w = stack.pop()
-            for i in range(len(w) - 1):
-                for rest, repl in rules.get(w[i : i + 2], ()):
-                    end = i + len(repl)  # both sides of a rule have one length
-                    if rest and w[i + 2 : end] != rest:
-                        continue
-                    nb = w[:i] + repl + w[end:]
-                    if nb not in seen:
-                        if len(seen) >= cap:
-                            text = render_word(self.presentation.decode(word))
-                            raise RuntimeError(f"congruence class of {text} exceeds cap {cap}")
-                        seen.add(nb)
-                        stack.append(nb)
-        cid = len(self._classes)
-        self._classes.append(frozenset(seen))
-        for w in seen:
-            self._id_of[w] = cid
-        return cid
+        return self._search(word) if cid is None else cid
 
     def _equivalent(self, u: Codes, v: Codes) -> bool:
         return len(u) == len(v) and v in self._classes[self._class_of(u)]
@@ -104,6 +136,13 @@ class ClassStore:
     def words_equivalent(self, u, v) -> bool:
         """Exact equality test for two positive words.
 
+        A word whose class is memoised answers from the memo.  Otherwise
+        the words are searched from both ends at once: True at the first
+        word both sides reach, False once one side has closed its class,
+        which is then memoised.  ``CLASS_CAP`` bounds each side's seen
+        set, and the ``RuntimeError`` names the start word of the side
+        that overflowed; a search that meets first answers True.
+
         >>> from .coxtypes import parse_type
         >>> from .presentation import dual_presentation, parse_word
         >>> store = ClassStore(dual_presentation(parse_type("B2")))
@@ -113,9 +152,22 @@ class ClassStore:
         False
         """
         encode = self.presentation.encode
-        return self._equivalent(encode(u), encode(v))
+        u, v = encode(u), encode(v)
+        if len(u) != len(v):
+            return False
+        for a, b in ((u, v), (v, u)):
+            cid = self._id_of.get(a)
+            if cid is not None:
+                return b in self._classes[cid]
+        return self._search(u, v) is None
 
     def derivable(self, relation: Relation) -> bool:
+        """Whether the relation's sides are equal words, by ``words_equivalent``.
+
+        The search stops where the two sides meet, so a relation whose
+        sides meet before either side holds ``CLASS_CAP`` words is derivable
+        even when their class is larger; a side that overflows first raises.
+        """
         return self.words_equivalent(relation.lhs, relation.rhs)
 
     def _divisor_ids(self, word, left: bool) -> dict[int, Codes]:

@@ -297,7 +297,7 @@ def test_nf_rejects_wrong_alphabet(capsys):
 
 
 def test_nf_classical_exceptional_is_a_usage_error(capsys):
-    # the weak order of H3 builds; its atoms have no names to parse
+    # H3 has no named generators, so the word is refused before any weak order builds
     assert main(["nf", "H3", "--classical", "s1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")

@@ -435,3 +435,73 @@ def test_class_cap_is_the_largest_class_allowed():
     with mock.patch.object(congruence, "CLASS_CAP", size - 1):
         with pytest.raises(RuntimeError, match=text):
             ClassStore(pres).class_words(word)
+
+
+SEARCH_CASES = [("completed", "B4"), ("completed", "D5"), ("dual", "A4")]
+
+
+@pytest.mark.parametrize("kind,label", SEARCH_CASES)
+def test_search_agrees_with_closure(kind, label):
+    pres = _store(label, kind)[0]
+    closure = ClassStore(pres)
+    rng = Random(19)
+    atoms = range(len(pres.atoms))
+
+    def class_of(word):
+        return sorted(closure._classes[closure._class_of(word)])
+
+    met = 0
+    for _ in range(60):
+        length = rng.randint(2, 5)
+        word = tuple(rng.choice(atoms) for _ in range(length))
+        words = class_of(word)
+        other = word
+        while other in words:
+            other = tuple(rng.choice(atoms) for _ in range(length))
+        equal = (rng.choice(words), rng.choice(words))
+        unequal = (rng.choice(words), rng.choice(class_of(other)))
+        met += equal[0] != equal[1]
+        for (u, v), expected in ((equal, True), (unequal, False)):
+            assert closure._equivalent(u, v) == expected
+            store = ClassStore(pres)
+            assert store.words_equivalent(pres.decode(u), pres.decode(v)) == expected
+            if expected:
+                continue
+            # the side that ran out closed its class, and the memo answers for it
+            closed = [w for w in (u, v) if w in store._id_of]
+            assert closed
+            for w in closed:
+                assert store._classes[store._id_of[w]] == closure._classes[closure._id_of[w]]
+                with mock.patch.object(store, "_search", side_effect=AssertionError(w)):
+                    assert store.class_words(pres.decode(w)) == closure.class_words(pres.decode(w))
+    assert met > 20
+
+
+def test_class_cap_bounds_each_side_of_the_search():
+    pres = dual_presentation(parse_type("B3"))
+    rel = pres.relations[0]
+    garside = pres.garside_word
+    small = parse_word("tau(1)*tau(1)*beta(2,1)")
+    store = ClassStore(pres)
+    assert len(store.class_words(rel.lhs)) == 4
+    assert (len(store.class_words(small)), len(store.class_words(garside))) == (7, 27)
+    assert not store.words_equivalent(small, garside)
+    with mock.patch.object(congruence, "CLASS_CAP", 3):
+        # the two sides meet at the first move, before either reaches the cap
+        assert ClassStore(pres).words_equivalent(rel.lhs, rel.rhs)
+        assert ClassStore(pres).derivable(rel)
+        with pytest.raises(RuntimeError, match="exceeds cap 3"):
+            ClassStore(pres).class_words(garside)
+
+    def named(word, cap):
+        return re.escape(f"congruence class of {render_word(word)} exceeds cap {cap}")
+
+    # both classes exceed the cap; the error names the side that overflowed
+    with mock.patch.object(congruence, "CLASS_CAP", 1):
+        with pytest.raises(RuntimeError, match=named(small, 1)):
+            ClassStore(pres).words_equivalent(small, garside)
+    with mock.patch.object(congruence, "CLASS_CAP", 6):
+        # the Garside word's side is the first to need a seventh word
+        for u, v in ((small, garside), (garside, small)):
+            with pytest.raises(RuntimeError, match=named(garside, 6)):
+                ClassStore(pres).words_equivalent(u, v)
