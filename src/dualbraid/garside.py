@@ -21,8 +21,11 @@ pass.  A slide leaves the pairs to its right left-weighted, so the pass
 stops at the first pair that does not change (m is the bottom, or x is
 delta, which only the leading delta powers are).  The slide is one flat
 loop over the poset's arrays (down-set bitmasks, elements, grades, index)
-and the model's ``mul`` and ``left_div``, with the checks of the meet,
-product and quotient methods it stands in for.
+and two per-simple tables, with the checks of the meet, product and
+quotient methods it stands in for.  The tables hold each simple padded
+to a full ``act`` table and each simple's inverse, so the product x m and
+the quotient m^-1 y are one ``act`` call each.  They are built from the
+poset's elements on the first normal form, not with the structure.
 
 A signed word becomes a positive one in one pass: an inverse letter s^-1
 is delta^-1 rc(s), and a letter followed by k inverse letters is
@@ -114,6 +117,23 @@ class GarsideData:
         return tuple(powers)
 
     @cached_property
+    def _slide_tables(self) -> tuple[tuple, tuple]:
+        """Per-simple operands of the slide, in the model's encoding.
+
+        right[j] is simple j followed by the model's ``pad``, so that
+        ``act(u, right[j])`` is ``mul(u, elements[j])``; inverse[j] is
+        ``left_div(elements[j], identity)``, so that
+        ``act(inverse[i], right[j])`` is ``left_div(elements[i], elements[j])``.
+        Read from ``poset.elements`` when first asked for, by the first
+        normal form.
+        """
+        group, elements = self.group, self.poset.elements
+        pad, left_div, identity = group.pad, group.left_div, group.identity
+        right = tuple(el + pad for el in elements)
+        inverse = tuple(left_div(el, identity) for el in elements)
+        return right, inverse
+
+    @cached_property
     def atom_labels(self) -> dict[Atom, int] | None:
         """Atom -> simple index for the explicitly presented series.
 
@@ -196,10 +216,14 @@ def _renorm(data: GarsideData, letters: list[int]) -> tuple[int, list[int]]:
     ``GarsideData.product`` and ``left_quotient``, with the same checks,
     so a poset that is not a lattice raises ``LatticeError`` and a factor
     that is not a simple of the additive grade raises ``RuntimeError``.
+    The product x m is ``act(elements[x], right[m])`` and the quotient
+    m^-1 y is ``act(inverse[m], right[y])``, on the tables of
+    ``GarsideData._slide_tables``, built on the first call.
     """
-    poset, group = data.poset, data.group
+    poset = data.poset
     down, elements, grades = poset.down_masks, poset.elements, poset.grades
-    lookup, mul, left_div = poset.index.get, group.mul, group.left_div
+    right, inverse = data._slide_tables
+    lookup, act = poset.index.get, data.group.act
     bottom, delta = data.bottom, data.delta
     lc, conj = data.left_complement, data.delta_conj
     factors: list[int] = []
@@ -227,9 +251,9 @@ def _renorm(data: GarsideData, letters: list[int]) -> tuple[int, list[int]]:
                     raise LatticeError(f"no unique lower bound for indices {a}, {y}")
                 if m == bottom:
                     break
-                em, gm = elements[m], grades[m]
-                x2 = lookup(mul(elements[x], em))
-                y2 = lookup(left_div(em, elements[y]))
+                gm = grades[m]
+                x2 = lookup(act(elements[x], right[m]))
+                y2 = lookup(act(inverse[m], right[y]))
                 if (
                     x2 is None
                     or y2 is None
@@ -252,10 +276,8 @@ def _renorm(data: GarsideData, letters: list[int]) -> tuple[int, list[int]]:
 def _index(data: GarsideData, item) -> int:
     """Simple index of one letter: an atom or a simple index."""
     if isinstance(item, Atom):
-        labels = data.atom_labels
-        idx = None if labels is None else labels.get(item)
         # word_indices raises the error for an atom that is not a letter here
-        return data.word_indices((item,))[0] if idx is None else idx
+        return data.word_indices((item,))[0]
     if isinstance(item, int) and not isinstance(item, bool):
         if not 0 <= item < len(data.poset):
             raise ValueError(f"simple index {item} out of range")
@@ -291,10 +313,14 @@ def group_normal_form(signed_word, data: GarsideData) -> NormalForm:
     >>> group_normal_form([(data.delta, -1)], data)
     NormalForm(delta_power=-1, factors=())
     """
+    atom_index = (data.atom_labels or {}).get
     letters: list[int] = []
     inverse: list[bool] = []
     for item, sign in signed_word:
-        idx = _index(data, item)
+        idx = atom_index(item)
+        if idx is None:
+            # not an atom of the presentation: a simple index, or refused
+            idx = _index(data, item)
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
         letters.append(idx)

@@ -12,6 +12,7 @@ import dualbraid
 from dualbraid import (
     ClassStore,
     LatticeError,
+    NormalForm,
     classical_garside_data,
     dual_garside_data,
     dual_presentation,
@@ -230,6 +231,52 @@ def test_boolean_letters_and_signs_are_refused():
         with pytest.raises(ValueError, match="sign must be"):
             group_normal_form([(t1, sign)], data)
     assert group_normal_form([(t1, 1), (t1, -1)], data) == group_normal_form([], data)
+
+
+@pytest.mark.parametrize(
+    "kind,label,foreign",
+    [("dual", "B2", "a(2,1)*alpha(3,1)"), ("classical", "A3", "tau(1)*sigma(4)")],
+)
+def test_letters_missing_from_the_atom_table_meet_the_index_errors(kind, label, foreign):
+    # the letter lookup falls back to _index on a miss, which refuses
+    # booleans, indices out of range, atoms of another type and non-letters
+    build = dual_garside_data if kind == "dual" else classical_garside_data
+    data = build(parse_type(label))
+    refused = [(True, TypeError), (False, TypeError), (1.0, TypeError), ([0], TypeError)]
+    refused += [(len(data), ValueError), (-1, ValueError)]
+    refused += [(atom, ValueError) for atom in parse_word(foreign)]
+    for letter, error in refused:
+        for sign in (1, -1):
+            with pytest.raises(error):
+                group_normal_form([(letter, sign)], data)
+        with pytest.raises(error):
+            normal_form([letter], data)
+        # a refused letter is reported before a bad sign
+        with pytest.raises(error):
+            group_normal_form([(letter, 0)], data)
+    atom = next(iter(data.atom_labels))
+    index = data.atom_labels[atom]
+    assert normal_form([index], data) == normal_form([atom], data) == NormalForm(0, (index,))
+    with pytest.raises(ValueError, match="sign must be"):
+        group_normal_form([(index, True)], data)
+
+
+@pytest.mark.parametrize(
+    "label,kind",
+    # I2(300) is above BYTE_POINTS, so its model holds image tuples
+    [("A4", bytes), ("B3", bytes), ("I2:300", tuple)],
+)
+def test_slide_tables_are_the_group_arithmetic(label, kind):
+    data = dual_garside_data(parse_type(label))
+    group, elements = data.group, data.poset.elements
+    right, inverse = data._slide_tables
+    assert len(right) == len(inverse) == len(data)
+    assert type(right[0]) is type(inverse[0]) is kind
+    act, mul, left_div = group.act, group.mul, group.left_div
+    for i, u in enumerate(elements):
+        for j, v in enumerate(elements):
+            assert act(u, right[j]) == mul(u, v)
+            assert act(inverse[i], right[j]) == left_div(u, v)
 
 
 @pytest.mark.parametrize(
