@@ -124,6 +124,8 @@ def _verify_cube(ctype: CoxType, args) -> tuple[dict, bool, list[str]]:
         f"  complement table: {stats['covered']}/{stats['ordered_pairs']} ordered pairs",
         f"  ok: {report.ok}",
     ]
+    if report.failures:
+        lines.insert(2, f"  first failing triple: {report.first_failure}")
     return payload, report.ok, lines
 
 

@@ -17,12 +17,17 @@ reversing: a right-complement table extracted from the relation sides
 complements (:func:`cube_condition`).  The table precomputes the pair
 (f(x,y), f(y,x)) of every x^-1 y it can reverse, and both consumers
 reverse on that swap table with one engine, which divides letter by
-letter and memoises each one-letter division.  The table may be partial;
-all consumers tolerate reversing getting stuck and report it.
+letter and memoises each one-letter division.  The cube compares, for
+each triple of atoms, two sides, each a reversal of one atom against an
+atom times its complement; every side serves two triples, so the cube
+reverses each side once into a table of class ids, indexed by codes,
+and then compares two ids per triple.  The table may be partial; all
+consumers tolerate reversing getting stuck and report it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import permutations
 from random import Random
@@ -405,6 +410,13 @@ class CubeReport:
     def ok(self) -> bool:
         return not self.failures and self.diverged == 0
 
+    @property
+    def first_failure(self) -> str | None:
+        """The first failing triple, rendered as ``(x, y, z)``, or None."""
+        if not self.failures:
+            return None
+        return "(" + ", ".join(str(a) for a in self.failures[0]) + ")"
+
     def as_dict(self) -> dict:
         return {
             "checked": self.checked,
@@ -412,6 +424,7 @@ class CubeReport:
             "stuck": self.stuck,
             "diverged": self.diverged,
             "failed": len(self.failures),
+            "first_failure": self.first_failure,
             "ok": self.ok,
         }
 
@@ -424,12 +437,19 @@ def cube_condition(
 ) -> CubeReport:
     """Compare the two bracketings of the triple common multiple.
 
-    For atoms (x, y, z) the word x*f(x,y) is completed through z, and
-    y*f(y,z) is completed through x; the two resulting words must name
-    the same element, which the congruence oracle decides.  Triples where
-    the partial table leaves the reversing stuck are counted separately
-    and prove nothing either way.  With ``sample`` set, a seeded sample of
-    that many triples is checked; a sample size below one is refused.
+    For atoms (a, b, c) the side S(a,b;c) is the word c*comp got by
+    right-reversing c^-1 a f(a,b).  Triple (x, y, z) compares S(x,y;z)
+    with S(y,z;x); the two words must name the same element, which the
+    congruence oracle decides.  Each side serves two triples, so a first
+    pass reverses once every side with an entry f(a,b), grouped by the
+    negative letter c with one division memo per letter, and files its
+    class id, or the status "stuck" or "diverged", in a table indexed by
+    codes.  The second pass compares the table's ids triple by triple.
+    A triple whose table entry is missing, or whose reversing gets stuck,
+    is counted separately and proves nothing either way; a diverged side
+    makes its triple diverged.  With ``sample`` set, a seeded sample of
+    that many triples is checked and only their sides are reversed; a
+    sample size below one is refused.
     """
     if sample is not None and sample < 1:
         raise ValueError(f"cube sample size must be at least 1, got {sample}")
@@ -438,34 +458,41 @@ def cube_condition(
         raise ValueError("the table must share the presentation's atoms")
     store = ClassStore(presentation)
     n = len(presentation.atoms)
+    entries, swaps = table._entries, table._swaps
     triples = permutations(range(n), 3)
+    # wanted yields, for c = 0, 1, ..., the pairs (a, b) whose side S(a,b;c)
+    # is reversed: those of the sampled triples with both entries, or every
+    # side with an entry, listed one letter at a time
     if sample is not None and sample < n * (n - 1) * (n - 2):
         triples = Random(seed).sample(list(triples), sample)
-    entries, swaps = table._entries, table._swaps
-    report = CubeReport()
-    # the divisions of one first atom's triples overlap, and one memo across
-    # the whole sweep would hold about n times as many entries
+        read: list[set] = [set() for _ in range(n)]
+        for x, y, z in triples:
+            if (x, y) in entries and (y, z) in entries:
+                read[z].add((x, y))
+                read[x].add((y, z))
+        wanted: Iterable = read
+    else:
+        pairs = [(a, b) for a, b in entries if a != b]
+        wanted = ([p for p in pairs if c not in p] for c in range(n))
+    # side[a][b][c]: class id of S(a,b;c), its status, or None if not reversed
+    side = [[[None] * n for _ in range(n)] for _ in range(n)]
     memo: dict = {}
-    head = None
+    for c, todo in enumerate(wanted):
+        memo.clear()
+        for a, b in todo:
+            status, comp, _, _ = _reverse(swaps, (c,), (a,) + entries[a, b], memo)
+            side[a][b][c] = store._class_of((c,) + comp) if status == "reversed" else status
+    report = CubeReport()
     for x, y, z in triples:
-        if x != head:
-            memo.clear()
-            head = x
         report.checked += 1
-        fxy = entries.get((x, y))
-        fyz = entries.get((y, z))
-        if fxy is None or fyz is None:
+        first, second = side[x][y][z], side[y][z][x]
+        if first is None or second is None:
             report.stuck += 1
-            continue
-        first, comp_first, _, _ = _reverse(swaps, (z,), (x,) + fxy, memo)
-        second, comp_second, _, _ = _reverse(swaps, (x,), (y,) + fyz, memo)
-        if "diverged" in (first, second):
+        elif "diverged" in (first, second):
             report.diverged += 1
-            continue
-        if "stuck" in (first, second):
+        elif "stuck" in (first, second):
             report.stuck += 1
-            continue
-        if store._equivalent((z,) + comp_first, (x,) + comp_second):
+        elif first == second:
             report.passed += 1
         else:
             report.failures.append(presentation.decode((x, y, z)))

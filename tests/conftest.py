@@ -1,4 +1,8 @@
+from random import Random
+
 import pytest
+
+from dualbraid import congruence
 
 
 def _rank(matrix) -> int:
@@ -27,3 +31,22 @@ def _rank(matrix) -> int:
 def exact_rank():
     """The test suite's own rank oracle for integer and golden matrices."""
     return _rank
+
+
+def _swap_entry(table, seed):
+    """Replace one entry f(x, y) of a complement table, in place, by the
+    entry of another pair with the same length; both picks are seeded."""
+    rng = Random(seed)
+    entries = table._entries
+    pairs = sorted(p for p in entries if p[0] != p[1])
+    x, y = rng.choice(pairs)
+    same_length = {entries[p] for p in pairs if len(entries[p]) == len(entries[x, y])}
+    entries[x, y] = rng.choice(sorted(same_length - {entries[x, y]}))
+    table._swaps = congruence._swap_table(entries)
+    return table
+
+
+@pytest.fixture
+def swap_entry():
+    """A complement table corrupted by one seeded entry swap."""
+    return _swap_entry

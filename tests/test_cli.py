@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 
 import dualbraid
-from dualbraid import congruence, coxeter_group, interval, parse_atom, parse_type
+from dualbraid import (
+    completed_dual_presentation,
+    congruence,
+    coxeter_group,
+    interval,
+    parse_atom,
+    parse_type,
+)
 from dualbraid.cli import TABLE_TYPES, main
 
 
@@ -73,6 +80,7 @@ def test_verify_cube_dual_a3(capsys):
     assert data["check"] == "cube"
     assert data["ok"] is True
     assert data["failed"] == 0
+    assert data["first_failure"] is None
     assert data["diverged"] == 0
     # table gaps only park triples in the stuck bucket
     assert data["passed"] + data["stuck"] == data["checked"]
@@ -271,6 +279,21 @@ def test_internal_failure_exits_1(capsys, monkeypatch):
     assert main(["simples", "count", "B3", "--engine", "rewriting"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exceeds cap 3" in err
+
+
+def test_failing_cube_names_its_first_triple(capsys, monkeypatch, swap_entry):
+    real = congruence.ComplementTable
+    pres = completed_dual_presentation(parse_type("B3"))
+    expected = congruence.cube_condition(pres, table=swap_entry(real(pres), seed=1))
+    assert expected.failures
+    monkeypatch.setattr(congruence, "ComplementTable", lambda p: swap_entry(real(p), seed=1))
+    code, data = run_json(capsys, "verify", "cube", "B3")
+    assert code == 1
+    assert (data["failed"], data["ok"]) == (len(expected.failures), False)
+    assert data["first_failure"] == expected.first_failure
+    assert main(["verify", "cube", "B3"]) == 1
+    line = f"  first failing triple: {expected.first_failure}"
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_lattice_failure_exits_1(capsys, monkeypatch):

@@ -1,5 +1,5 @@
 import re
-from collections import deque
+from collections import Counter, deque
 from functools import cache
 from itertools import permutations
 from random import Random
@@ -381,10 +381,12 @@ def _reference_class_of(pres, word):
     return _reference_class(pres, word)
 
 
-def _reference_cube(pres, sample=None, seed=0):
+def _reference_cube(pres, sample=None, seed=0, entries=None):
     """Reference cube: every triple reversed by the reference engine and
-    judged by the reference closure, with no memo shared between triples."""
-    entries = ComplementTable(pres)._entries
+    judged by the reference closure, with no memo shared between triples.
+    ``entries`` defaults to the presentation's own complement table."""
+    if entries is None:
+        entries = ComplementTable(pres)._entries
     triples = list(permutations(range(len(pres.atoms)), 3))
     if sample is not None and sample < len(triples):
         triples = Random(seed).sample(triples, sample)
@@ -422,6 +424,50 @@ def test_cube_matches_reference_cube(kind, label):
         assert report.stuck > 0
     for seed in (0, 7):
         assert cube_condition(pres, sample=100, seed=seed) == _reference_cube(pres, 100, seed)
+
+
+@pytest.mark.parametrize("label", ["B3", "B4", "D4"])
+def test_cube_with_a_swapped_entry_matches_reference_cube(label, swap_entry):
+    # a wrong entry makes triples fail, so the failures and their order are compared
+    pres = _completed_store(label)[0]
+    table = swap_entry(ComplementTable(pres), seed=1)
+    reports = [(cube_condition(pres, table=table), _reference_cube(pres, entries=table._entries))]
+    for seed in (0, 7):
+        reports.append(
+            (
+                cube_condition(pres, table=table, sample=100, seed=seed),
+                _reference_cube(pres, 100, seed, table._entries),
+            )
+        )
+    for report, expected in reports:
+        assert report == expected
+        assert report.failures
+        assert not report.ok
+        first = "(" + ", ".join(map(str, report.failures[0])) + ")"
+        assert report.as_dict()["first_failure"] == first
+
+
+def test_cube_reverses_each_side_once():
+    # side S(a,b;c) reverses c^-1 a f(a,b); triples (a,b,c) and (c,a,b) both read it
+    pres = _completed_store("B4")[0]
+    table = ComplementTable(pres)
+    entries = table._entries
+    n = len(pres.atoms)
+    sides = Counter(
+        ((c,), (a,) + entries[a, b])
+        for a, b in entries
+        if a != b
+        for c in range(n)
+        if c not in (a, b)
+    )
+    assert sum(sides.values()) == (n - 2) * table.stats()["covered"]
+    with mock.patch.object(congruence, "_reverse", wraps=congruence._reverse) as rev:
+        report = cube_condition(pres, table=table)
+    assert Counter(call.args[1:3] for call in rev.call_args_list) == sides
+    assert report.as_dict()["first_failure"] is None
+    with mock.patch.object(congruence, "_reverse", wraps=congruence._reverse) as rev:
+        assert cube_condition(pres, table=table, sample=100, seed=7).checked == 100
+    assert 0 < rev.call_count <= 200
 
 
 def test_class_cap_is_the_largest_class_allowed():
