@@ -10,6 +10,27 @@ Its rewrite rules are indexed by the first two codes of a side, so a
 word costs one lookup per adjacent pair; every relation side must
 therefore have at least two atoms.
 
+Inside the store a word is one packed int: a leading 1, then one field
+per letter holding its code, the first letter highest.  A field is whole
+bytes, one while every code fits in a byte (at most 256 atoms, the cut of
+``coxeter.BYTE_POINTS``) and two up to 65,536 atoms.  The leading 1 fixes
+the length, so words that differ in a trailing code 0 stay apart; words
+of one length order as their code tuples do, and shorter words come
+first.  A rule is found by the packed pair ``(w >> shift) & pair_mask``,
+a move adds ``(replacement - side) << shift``, and a left divisor is one
+shift:
+
+>>> from .coxtypes import parse_type
+>>> from .presentation import dual_presentation, parse_word
+>>> store = ClassStore(dual_presentation(parse_type("B2")))
+>>> word = parse_word("alpha(2,1)*tau(1)")
+>>> store.presentation.encode(word)
+(2, 0)
+>>> hex(store._pack((2, 0)))
+'0x10200'
+>>> sorted(hex(w) for w in store._classes[store.class_id(word)])
+['0x10003', '0x10102', '0x10200', '0x10301']
+
 On top of the raw congruence sit the syntactic tools of subword
 reversing: a right-complement table extracted from the relation sides
 (:class:`ComplementTable`), the reversing procedure itself
@@ -21,13 +42,14 @@ letter and memoises each one-letter division.  The cube compares, for
 each triple of atoms, two sides, each a reversal of one atom against an
 atom times its complement; every side serves two triples, so the cube
 reverses each side once into a table of class ids, indexed by codes,
-and then compares two ids per triple.  The table may be partial; all
-consumers tolerate reversing getting stuck and report it.
+packing each distinct side word once, and then compares two ids per
+triple.  The table may be partial; all consumers tolerate reversing
+getting stuck and report it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import permutations
 from random import Random
@@ -59,7 +81,9 @@ class ClassStore:
     runs out, so two equal words are found equal without closing either
     class.  Each closed class, and each side of a search, holds at most
     ``CLASS_CAP`` words; past that the store raises ``RuntimeError``
-    naming the word the overflowing side started from.
+    naming the word the overflowing side started from.  Inside the store
+    every word is a packed int, ``_bits`` bits per letter (see the module
+    docstring).
     """
 
     def __init__(self, presentation: Presentation):
@@ -69,31 +93,60 @@ class ClassStore:
             if len(rel.lhs) < 2:
                 raise ValueError(f"relation side is shorter than two atoms: {rel}")
         self.presentation = presentation
-        # rules keyed by the first two codes of their side: (rest of side, replacement)
-        self._rules: dict[Codes, list[tuple[Codes, Codes]]] = {}
+        # whole bytes per letter, as few as hold every code: one up to 256 atoms
+        bits = 8
+        while len(presentation.atoms) > 1 << bits:
+            bits += 8
+        self._bits = bits
+        # rules keyed by the packed first two codes of their side: (bits of the
+        # side below that pair, mask and value of the side, replacement - side)
+        self._rules: dict[int, list[tuple[int, int, int, int]]] = {}
         for rel in presentation.relations:
             lhs, rhs = presentation.encode(rel.lhs), presentation.encode(rel.rhs)
-            self._rules.setdefault(lhs[:2], []).append((lhs[2:], rhs))
-            self._rules.setdefault(rhs[:2], []).append((rhs[2:], lhs))
-        self._classes: list[frozenset[Codes]] = []
-        self._id_of: dict[Codes, int] = {}
+            for side, repl in ((lhs, rhs), (rhs, lhs)):
+                drop = (len(side) - 2) * bits
+                value = self._pack(side) ^ (1 << len(side) * bits)  # the side without its 1
+                mask = (1 << drop + 2 * bits) - 1
+                rule = (drop, mask, value, self._pack(repl) - self._pack(side))
+                self._rules.setdefault(value >> drop, []).append(rule)
+        self._classes: list[frozenset[int]] = []
+        self._id_of: dict[int, int] = {}
 
-    def _search(self, u: Codes, v: Codes | None = None) -> int | None:
+    def _pack(self, codes: Codes) -> int:
+        w, bits = 1, self._bits
+        for c in codes:
+            w = w << bits | c
+        return w
+
+    def _unpack(self, w: int) -> Codes:
+        bits = self._bits
+        mask = (1 << bits) - 1
+        return tuple((w >> sh) & mask for sh in range(w.bit_length() - 1 - bits, -1, -bits))
+
+    def _word(self, w: int) -> Word:
+        return self.presentation.decode(self._unpack(w))
+
+    def _search(self, u: int, v: int | None = None) -> int | None:
         """Breadth-first search from u, and from v when it is given.
 
-        Each round expands by one level the side with the smaller frontier,
-        u's on a tie, and returns None at the first word that the other
-        side has already seen.  A side whose frontier runs out has seen its
-        whole class: that class is memoised and its id returned.  Each
-        side's seen set holds at most ``CLASS_CAP`` words.
+        Both are packed words of one length.  Each round expands by one
+        level the side with the smaller frontier, u's on a tie, and returns
+        None at the first word that the other side has already seen.  A
+        side whose frontier runs out has seen its whole class: that class
+        is memoised and its id returned.  Each side's seen set holds at
+        most ``CLASS_CAP`` words.
         """
         if u == v:
             return None
-        cap, rules = CLASS_CAP, self._rules
+        cap, get, bits = CLASS_CAP, self._rules.get, self._bits
+        pair = (1 << 2 * bits) - 1
+        # the shift that brings each adjacent pair of letters to the bottom,
+        # the first pair first; a rule's side then ends ``drop`` bits lower
+        shifts = range(u.bit_length() - 1 - 2 * bits, -1, -bits)
         sides = [(u, {u}, [u])]
         if v is not None:
             sides.append((v, {v}, [v]))
-        other: set[Codes] = set()
+        other: set[int] = set()
         k = 0
         while True:
             if len(sides) == 2:
@@ -102,17 +155,17 @@ class ClassStore:
             start, seen, frontier = sides[k]
             grown = []
             for w in frontier:
-                for i in range(len(w) - 1):
-                    for rest, repl in rules.get(w[i : i + 2], ()):
-                        end = i + len(repl)  # both sides of a rule have one length
-                        if rest and w[i + 2 : end] != rest:
+                for sh in shifts:
+                    for drop, mask, value, delta in get((w >> sh) & pair, ()):
+                        low = sh - drop
+                        if drop and (low < 0 or (w >> low) & mask != value):
                             continue
-                        nb = w[:i] + repl + w[end:]
+                        nb = w + (delta << low)
                         if nb not in seen:
                             if nb in other:
                                 return None
                             if len(seen) >= cap:
-                                text = render_word(self.presentation.decode(start))
+                                text = render_word(self._word(start))
                                 raise RuntimeError(f"congruence class of {text} exceeds cap {cap}")
                             seen.add(nb)
                             grown.append(nb)
@@ -124,19 +177,15 @@ class ClassStore:
                 return cid
             sides[k] = (start, seen, grown)
 
-    def _class_of(self, word: Codes) -> int:
-        cid = self._id_of.get(word)
-        return self._search(word) if cid is None else cid
-
-    def _equivalent(self, u: Codes, v: Codes) -> bool:
-        return len(u) == len(v) and v in self._classes[self._class_of(u)]
+    def _class_of(self, w: int) -> int:
+        cid = self._id_of.get(w)
+        return self._search(w) if cid is None else cid
 
     def class_id(self, word) -> int:
-        return self._class_of(self.presentation.encode(word))
+        return self._class_of(self._pack(self.presentation.encode(word)))
 
     def class_words(self, word) -> frozenset[Word]:
-        decode = self.presentation.decode
-        return frozenset(decode(w) for w in self._classes[self.class_id(word)])
+        return frozenset(self._word(w) for w in self._classes[self.class_id(word)])
 
     def words_equivalent(self, u, v) -> bool:
         """Exact equality test for two positive words.
@@ -160,6 +209,7 @@ class ClassStore:
         u, v = encode(u), encode(v)
         if len(u) != len(v):
             return False
+        u, v = self._pack(u), self._pack(v)
         for a, b in ((u, v), (v, u)):
             cid = self._id_of.get(a)
             if cid is not None:
@@ -175,21 +225,29 @@ class ClassStore:
         """
         return self.words_equivalent(relation.lhs, relation.rhs)
 
-    def _divisor_ids(self, word, left: bool) -> dict[int, Codes]:
-        reps: dict[int, Codes] = {}
-        for w in self._classes[self.class_id(word)]:
-            for k in range(len(w) + 1):
-                cid = self._class_of(w[:k] if left else w[len(w) - k :])
-                if cid not in reps:
-                    reps[cid] = min(self._classes[cid])
-        return reps
+    def _divisor_ids(self, word, left: bool) -> set[int]:
+        """Class ids of the left (or right) divisors of the word.
 
-    def _shortest_first(self, reps: dict[int, Codes]) -> list[Word]:
-        decode = self.presentation.decode
-        return [decode(c) for c in sorted(reps.values(), key=lambda c: (len(c), c))]
+        The left divisor of k letters is one shift, the right one a mask
+        under a new leading 1.
+        """
+        words = self._classes[self.class_id(word)]
+        top = next(iter(words)).bit_length() - 1
+        cuts = [(top - k, (1 << k) - 1, 1 << k) for k in range(0, top + 1, self._bits)]
+        class_of = self._class_of
+        ids = set()
+        for w in words:
+            for sh, mask, one in cuts:
+                ids.add(class_of(w >> sh if left else (w & mask) | one))
+        return ids
+
+    def _shortest_first(self, ids: set[int]) -> list[Word]:
+        # packed words sort shortest first, and codewise within one length
+        return [self._word(w) for w in sorted(min(self._classes[cid]) for cid in ids)]
 
     def left_divisor_classes(self, word) -> list[Word]:
-        """One representative per distinct left divisor, shortest first."""
+        """One representative per distinct left divisor, shortest first:
+        the least word of its class in code order."""
         return self._shortest_first(self._divisor_ids(word, left=True))
 
     def right_divisor_classes(self, word) -> list[Word]:
@@ -198,11 +256,10 @@ class ClassStore:
     def is_garside_word(self, word) -> bool:
         """Left and right divisors agree and every atom occurs among them."""
         left = self._divisor_ids(word, left=True)
-        right = self._divisor_ids(word, left=False)
-        if set(left) != set(right):
+        if left != self._divisor_ids(word, left=False):
             return False
-        atom_ids = {self._class_of((c,)) for c in range(len(self.presentation.atoms))}
-        return atom_ids <= set(left)
+        atom_ids = {self._class_of(self._pack((c,))) for c in range(len(self.presentation.atoms))}
+        return atom_ids <= left
 
 
 def is_garside_element(presentation: Presentation) -> bool:
@@ -220,8 +277,7 @@ def count_simples_rewriting(presentation: Presentation) -> int:
     """Number of left divisors of the Garside word, by pure rewriting."""
     if presentation.garside_word is None:
         raise ValueError("presentation has no Garside word")
-    store = ClassStore(presentation)
-    return len(store.left_divisor_classes(presentation.garside_word))
+    return len(ClassStore(presentation)._divisor_ids(presentation.garside_word, left=True))
 
 
 class _UnionFind:
@@ -396,6 +452,27 @@ def reverse_words(table: ComplementTable, u, v) -> ReversalResult:
     return ReversalResult(status, comp_uv, comp_vu, steps)
 
 
+class _Triples(Sequence):
+    """The triples of ``permutations(range(n), 3)``, in that order, read
+    by index, so that a sample of them does not list them all."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n * (self.n - 1) * (self.n - 2)
+
+    def __getitem__(self, i: int) -> tuple[int, int, int]:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        x, rest = divmod(i, (self.n - 1) * (self.n - 2))
+        y, z = divmod(rest, self.n - 2)
+        y += y >= x
+        for skipped in sorted((x, y)):
+            z += z >= skipped
+        return x, y, z
+
+
 @dataclass
 class CubeReport:
     """Tally of the complement associativity test over atom triples."""
@@ -464,7 +541,7 @@ def cube_condition(
     # is reversed: those of the sampled triples with both entries, or every
     # side with an entry, listed one letter at a time
     if sample is not None and sample < n * (n - 1) * (n - 2):
-        triples = Random(seed).sample(list(triples), sample)
+        triples = Random(seed).sample(_Triples(n), sample)
         read: list[set] = [set() for _ in range(n)]
         for x, y, z in triples:
             if (x, y) in entries and (y, z) in entries:
@@ -474,14 +551,26 @@ def cube_condition(
     else:
         pairs = [(a, b) for a, b in entries if a != b]
         wanted = ([p for p in pairs if c not in p] for c in range(n))
-    # side[a][b][c]: class id of S(a,b;c), its status, or None if not reversed
-    side = [[[None] * n for _ in range(n)] for _ in range(n)]
+    # side[a][b][c]: class id of S(a,b;c), its status, or None if not reversed;
+    # the pairs (a, b) with no side reversed share one row, so that a sample
+    # over many atoms fills few of the n^3 slots
+    empty: list = [None] * n
+    side = [[empty] * n for _ in range(n)]
     memo: dict = {}
+    ids: dict[Codes, int] = {}  # class id of each distinct reversed side
     for c, todo in enumerate(wanted):
         memo.clear()
         for a, b in todo:
             status, comp, _, _ = _reverse(swaps, (c,), (a,) + entries[a, b], memo)
-            side[a][b][c] = store._class_of((c,) + comp) if status == "reversed" else status
+            if status == "reversed":
+                word = (c,) + comp
+                status = ids.get(word)
+                if status is None:
+                    status = ids[word] = store._class_of(store._pack(word))
+            row = side[a][b]
+            if row is empty:
+                row = side[a][b] = [None] * n
+            row[c] = status
     report = CubeReport()
     for x, y, z in triples:
         report.checked += 1

@@ -486,6 +486,18 @@ def test_class_cap_is_the_largest_class_allowed():
 SEARCH_CASES = [("completed", "B4"), ("completed", "D5"), ("dual", "A4")]
 
 
+def _closure_equivalent(store, u, v):
+    """Reference equality: close u's class and look v up in it."""
+    return len(u) == len(v) and v in store.class_words(u)
+
+
+def _memoised_class(store, codes):
+    """The class that the store has memoised for a code word, as code
+    words, or None if it has closed none for it."""
+    cid = store._id_of.get(store._pack(codes))
+    return None if cid is None else {store._unpack(w) for w in store._classes[cid]}
+
+
 @pytest.mark.parametrize("kind,label", SEARCH_CASES)
 def test_search_agrees_with_closure(kind, label):
     pres = _store(label, kind)[0]
@@ -494,7 +506,7 @@ def test_search_agrees_with_closure(kind, label):
     atoms = range(len(pres.atoms))
 
     def class_of(word):
-        return sorted(closure._classes[closure._class_of(word)])
+        return sorted(pres.encode(w) for w in closure.class_words(pres.decode(word)))
 
     met = 0
     for _ in range(60):
@@ -508,16 +520,17 @@ def test_search_agrees_with_closure(kind, label):
         unequal = (rng.choice(words), rng.choice(class_of(other)))
         met += equal[0] != equal[1]
         for (u, v), expected in ((equal, True), (unequal, False)):
-            assert closure._equivalent(u, v) == expected
+            u_word, v_word = pres.decode(u), pres.decode(v)
+            assert _closure_equivalent(closure, u_word, v_word) == expected
             store = ClassStore(pres)
-            assert store.words_equivalent(pres.decode(u), pres.decode(v)) == expected
+            assert store.words_equivalent(u_word, v_word) == expected
             if expected:
                 continue
             # the side that ran out closed its class, and the memo answers for it
-            closed = [w for w in (u, v) if w in store._id_of]
+            closed = [w for w in (u, v) if _memoised_class(store, w) is not None]
             assert closed
             for w in closed:
-                assert store._classes[store._id_of[w]] == closure._classes[closure._id_of[w]]
+                assert _memoised_class(store, w) == _memoised_class(closure, w)
                 with mock.patch.object(store, "_search", side_effect=AssertionError(w)):
                     assert store.class_words(pres.decode(w)) == closure.class_words(pres.decode(w))
     assert met > 20
@@ -551,3 +564,123 @@ def test_class_cap_bounds_each_side_of_the_search():
         for u, v in ((small, garside), (garside, small)):
             with pytest.raises(RuntimeError, match=named(garside, 6)):
                 ClassStore(pres).words_equivalent(u, v)
+
+
+def _three_letter_presentation(atom_count):
+    # relations 0*2*1 = 1*0*2 and 2*2*0 = 0*2*2 over codes: sides that start
+    # with the pairs (0, 2), (1, 0) and (2, 2), and end in code 1 or code 0
+    atoms = tuple(sigma(i) for i in range(1, atom_count + 1))
+
+    def relation(lhs, rhs):
+        return Relation(tuple(atoms[c] for c in lhs), tuple(atoms[c] for c in rhs))
+
+    return Presentation(
+        ctype=parse_type("A3"),
+        kind="dual",
+        atoms=atoms,
+        relations=(relation((0, 2, 1), (1, 0, 2)), relation((2, 2, 0), (0, 2, 2))),
+    )
+
+
+@pytest.mark.parametrize("atom_count", [3, 257])
+def test_long_sides_fire_only_inside_the_word(atom_count):
+    # a packed word has a leading 1 above its first letter and nothing below
+    # its last: a side of three letters whose first pair ends a word must not
+    # read past the end, and one whose last pair starts a word must not read
+    # the leading 1 as code 1
+    pres = _three_letter_presentation(atom_count)
+    store = ClassStore(pres)
+    assert store._bits == (8 if atom_count <= 256 else 16)
+    singletons = [(0, 2), (2, 2), (2, 0, 2), (1, 2, 2), (0, 2, 0), (1, 2, 0, 2)]
+    for codes in singletons:
+        assert store.class_words(pres.decode(codes)) == {pres.decode(codes)}, codes
+    larger = [(0, 2, 1), (2, 2, 0), (2, 1, 0, 2), (0, 2, 1, 0, 2), (1, 0, 2, 2, 0, 1)]
+    for codes in singletons + larger:
+        word = pres.decode(codes)
+        assert store.class_words(word) == _reference_class(pres, word), codes
+    assert store.words_equivalent(pres.decode((2, 1, 0, 2)), pres.decode((2, 0, 2, 1)))
+    assert not store.words_equivalent(pres.decode((0, 2, 1)), pres.decode((0, 2, 0)))
+
+
+@pytest.mark.parametrize("label", ["B3", "I2(257)"])
+def test_length_and_trailing_zero_codes_make_different_words(label):
+    # code 0 packs to zero bits, so only the leading 1 tells these apart
+    pres, store = _store(label)
+    zero, one = pres.atoms[0], pres.atoms[1]
+    words = [(), (zero,), (zero, zero), (zero, zero, zero), (one,), (one, zero), (one, zero, zero)]
+    ids = [store.class_id(w) for w in words]
+    assert len(set(ids)) == len(words)
+    for w in words:
+        assert w in store.class_words(w)
+        assert {len(v) for v in store.class_words(w)} == {len(w)}
+    assert not store.words_equivalent((one,), (one, zero))
+    assert not store.words_equivalent((zero,), ())
+
+
+@pytest.mark.parametrize("label", ["B3", "I2(257)"])
+def test_class_cap_error_renders_the_start_word(label):
+    pres, store = _store(label)
+    garside_class = sorted(store.class_words(pres.garside_word), key=pres.encode)
+    # a start word that ends in code 0 and holds the largest code in the class
+    word = next(w for w in garside_class if pres.encode(w)[-1] == 0)
+    assert len(garside_class) > 2
+    text = re.escape(f"congruence class of {render_word(word)} exceeds cap 1")
+    with mock.patch.object(congruence, "CLASS_CAP", 1):
+        with pytest.raises(RuntimeError, match=text):
+            ClassStore(pres).class_words(word)
+        other = next(w for w in garside_class if w != word)
+        with pytest.raises(RuntimeError, match=text):
+            ClassStore(pres).words_equivalent(word, other)
+
+
+@pytest.mark.parametrize("m", [256, 257, 300])
+def test_letter_width_boundary(m):
+    # dual I2(256) is the last alphabet with one byte per letter
+    pres, store = _store(f"I2({m})")
+    assert store._bits == (8 if m <= 256 else 16)
+    assert count_simples_rewriting(pres) == m + 2
+    for rel in (pres.relations[0], pres.relations[-1]):
+        assert store.words_equivalent(rel.lhs, rel.rhs)
+        assert store.derivable(rel)
+        assert not store.words_equivalent(rel.lhs, rel.lhs[::-1])
+    assert is_garside_element(pres)
+    report = cube_condition(pres, sample=100, seed=7)
+    assert report.ok
+    assert report.checked == report.passed == 100
+
+
+def test_triples_are_indexed_like_permutations():
+    # a sample of a few triples lists them all first; of many, it indexes them
+    for n in (3, 4, 5, 8, 30):
+        triples = congruence._Triples(n)
+        expected = list(permutations(range(n), 3))
+        assert len(triples) == len(expected)
+        assert [triples[i] for i in range(len(triples))] == expected
+        with pytest.raises(IndexError):
+            triples[len(expected)]
+        k = min(20, len(expected))
+        for seed in (0, 7):
+            assert Random(seed).sample(triples, k) == Random(seed).sample(expected, k)
+
+
+def _reference_divisors(pres, word, left):
+    """Reference divisor representatives: the code-least word of each class
+    of a prefix (or suffix) of a word in the word's class, shortest first."""
+    classes = set()
+    for w in _reference_class(pres, word):
+        for k in range(len(w) + 1):
+            classes.add(_reference_class_of(pres, w[:k] if left else w[len(w) - k :]))
+    reps = [min(cls, key=pres.encode) for cls in classes]
+    return sorted(reps, key=lambda w: (len(w), pres.encode(w)))
+
+
+@pytest.mark.parametrize("kind,label", [("dual", "A4"), ("completed", "B3")])
+def test_divisor_representatives_are_pinned(kind, label):
+    pres, store = _store(label, kind)
+    rng = Random(5)
+    words = [pres.garside_word] + [
+        tuple(rng.choice(pres.atoms) for _ in range(rng.randint(1, 4))) for _ in range(6)
+    ]
+    for word in words:
+        assert store.left_divisor_classes(word) == _reference_divisors(pres, word, left=True)
+        assert store.right_divisor_classes(word) == _reference_divisors(pres, word, left=False)
