@@ -3,12 +3,16 @@
 All relations in the presentations used here preserve word length, so
 the congruence class of a word is finite.  :class:`ClassStore` answers
 equality, divisibility and Garside-word questions exactly, without
-consulting any group model, by one breadth-first search over relation
-moves: from one word it closes and memoizes the word's class, and from
-two words it grows both sides and stops at the first word they share.
-Its rewrite rules are indexed by the first two codes of a side, so a
-word costs one lookup per adjacent pair; every relation side must
-therefore have at least two atoms.
+consulting any group model.  From one word it closes and memoizes the
+word's class block by block: a relation move whose side ends before the
+last letter b stays inside the prefix, so the class of y*b is a union of
+blocks C*b, C a closed class of prefixes.  The prefix classes are closed
+and memoized first, and only the sides that end at the last letter are
+tried.  From two words it grows both sides breadth first and stops at the
+first word they share.  Its rewrite rules are indexed by the last two
+codes of a side, so a word costs one lookup per adjacent pair in a search
+and one lookup in a closure; every relation side must therefore have at
+least two atoms.
 
 Inside the store a word is one packed int: a leading 1, then one field
 per letter holding its code, the first letter highest.  A field is whole
@@ -16,9 +20,9 @@ bytes, one while every code fits in a byte (at most 256 atoms, the cut of
 ``coxeter.BYTE_POINTS``) and two up to 65,536 atoms.  The leading 1 fixes
 the length, so words that differ in a trailing code 0 stay apart; words
 of one length order as their code tuples do, and shorter words come
-first.  A rule is found by the packed pair ``(w >> shift) & pair_mask``,
-a move adds ``(replacement - side) << shift``, and a left divisor is one
-shift:
+first.  A rule is found by the packed pair ``(w >> shift) & pair_mask``
+where its side ends, a move adds ``(replacement - side) << shift``, and a
+left divisor is one shift:
 
 >>> from .coxtypes import parse_type
 >>> from .presentation import dual_presentation, parse_word
@@ -40,10 +44,11 @@ complements (:func:`cube_condition`).  The table precomputes the pair
 reverse on that swap table with one engine, which divides letter by
 letter and memoises each one-letter division.  The cube compares, for
 each triple of atoms, two sides, each a reversal of one atom against an
-atom times its complement; every side serves two triples, so the cube
-reverses each side once into a table of class ids, indexed by codes,
-packing each distinct side word once, and then compares two ids per
-triple.  The table may be partial; all consumers tolerate reversing
+atom times its complement; every side serves two triples, and one
+reversal of f(a,c)^-1 f(a,b) gives both S(a,b;c) and S(a,c;b).  So the
+cube reverses each such pair once into a table of class ids, indexed by
+codes, packing each distinct side word once, and then compares two ids
+per triple.  The table may be partial; all consumers tolerate reversing
 getting stuck and report it.
 """
 
@@ -76,13 +81,17 @@ MAX_REVERSE_STEPS = 1000
 class ClassStore:
     """Memoized congruence classes of a homogeneous presentation.
 
-    Divisor and Garside-word questions close whole classes.  Equality
-    questions search from both words and close a class only when one side
-    runs out, so two equal words are found equal without closing either
-    class.  Each closed class, and each side of a search, holds at most
-    ``CLASS_CAP`` words; past that the store raises ``RuntimeError``
-    naming the word the overflowing side started from.  Inside the store
-    every word is a packed int, ``_bits`` bits per letter (see the module
+    Divisor and Garside-word questions close whole classes, block by
+    block, and closing a class closes the classes of its words' prefixes
+    on the way, so the left divisors of a closed class are memo lookups.
+    Equality questions search from both words and close a class only when
+    one side runs out, so two equal words are found equal without closing
+    either class; such a class has memoized none of its prefixes.  Each
+    closed class, and each side of a search, holds at most ``CLASS_CAP``
+    words; past that the store raises ``RuntimeError`` naming the word
+    whose class was asked for (never one of its prefixes), or in a search
+    the word the overflowing side started from.  Inside the store every
+    word is a packed int, ``_bits`` bits per letter (see the module
     docstring).
     """
 
@@ -98,17 +107,17 @@ class ClassStore:
         while len(presentation.atoms) > 1 << bits:
             bits += 8
         self._bits = bits
-        # rules keyed by the packed first two codes of their side: (bits of the
-        # side below that pair, mask and value of the side, replacement - side)
-        self._rules: dict[int, list[tuple[int, int, int, int]]] = {}
+        # rules keyed by the packed last two codes of their side: (mask and value
+        # of the side, replacement - side); a side of two letters has mask pair
+        self._rules: dict[int, list[tuple[int, int, int]]] = {}
+        pair = (1 << 2 * bits) - 1
         for rel in presentation.relations:
             lhs, rhs = presentation.encode(rel.lhs), presentation.encode(rel.rhs)
             for side, repl in ((lhs, rhs), (rhs, lhs)):
-                drop = (len(side) - 2) * bits
-                value = self._pack(side) ^ (1 << len(side) * bits)  # the side without its 1
-                mask = (1 << drop + 2 * bits) - 1
-                rule = (drop, mask, value, self._pack(repl) - self._pack(side))
-                self._rules.setdefault(value >> drop, []).append(rule)
+                mask = (1 << len(side) * bits) - 1
+                value = self._pack(side) & mask  # the side without its 1
+                rule = (mask, value, self._pack(repl) - self._pack(side))
+                self._rules.setdefault(value & pair, []).append(rule)
         self._classes: list[frozenset[int]] = []
         self._id_of: dict[int, int] = {}
 
@@ -126,60 +135,127 @@ class ClassStore:
     def _word(self, w: int) -> Word:
         return self.presentation.decode(self._unpack(w))
 
-    def _search(self, u: int, v: int | None = None) -> int | None:
-        """Breadth-first search from u, and from v when it is given.
+    def _memoise(self, words: Iterable[int]) -> int:
+        cid = len(self._classes)
+        words = frozenset(words)
+        self._classes.append(words)
+        self._id_of.update(dict.fromkeys(words, cid))
+        return cid
 
-        Both are packed words of one length.  Each round expands by one
-        level the side with the smaller frontier, u's on a tie, and returns
-        None at the first word that the other side has already seen.  A
-        side whose frontier runs out has seen its whole class: that class
-        is memoised and its id returned.  Each side's seen set holds at
-        most ``CLASS_CAP`` words.
+    def _search(self, u: int, v: int) -> bool:
+        """Breadth-first search from the packed words u and v, of one length.
+
+        Each round expands by one level the side with the smaller frontier,
+        u's on a tie, and returns True at the first word that the other side
+        has already seen.  A side whose frontier runs out has seen its whole
+        class: that class is memoised and False returned.  Each side's seen
+        set holds at most ``CLASS_CAP`` words.
         """
         if u == v:
-            return None
+            return True
         cap, get, bits = CLASS_CAP, self._rules.get, self._bits
         pair = (1 << 2 * bits) - 1
         # the shift that brings each adjacent pair of letters to the bottom,
-        # the first pair first; a rule's side then ends ``drop`` bits lower
+        # the first pair first; a rule's side then ends there
         shifts = range(u.bit_length() - 1 - 2 * bits, -1, -bits)
-        sides = [(u, {u}, [u])]
-        if v is not None:
-            sides.append((v, {v}, [v]))
-        other: set[int] = set()
-        k = 0
+        sides = [(u, {u}, [u]), (v, {v}, [v])]
         while True:
-            if len(sides) == 2:
-                k = 0 if len(sides[0][2]) <= len(sides[1][2]) else 1
-                other = sides[1 - k][1]
+            k = 0 if len(sides[0][2]) <= len(sides[1][2]) else 1
+            other = sides[1 - k][1]
             start, seen, frontier = sides[k]
             grown = []
             for w in frontier:
                 for sh in shifts:
-                    for drop, mask, value, delta in get((w >> sh) & pair, ()):
-                        low = sh - drop
-                        if drop and (low < 0 or (w >> low) & mask != value):
+                    x = w >> sh
+                    for mask, value, delta in get(x & pair, ()):
+                        if mask != pair and ((x & mask) != value or x <= mask):
                             continue
-                        nb = w + (delta << low)
+                        nb = w + (delta << sh)
                         if nb not in seen:
                             if nb in other:
-                                return None
+                                return True
                             if len(seen) >= cap:
                                 text = render_word(self._word(start))
                                 raise RuntimeError(f"congruence class of {text} exceeds cap {cap}")
                             seen.add(nb)
                             grown.append(nb)
             if not grown:
-                cid = len(self._classes)
-                self._classes.append(frozenset(seen))
-                for w in seen:
-                    self._id_of[w] = cid
-                return cid
+                self._memoise(seen)
+                return False
             sides[k] = (start, seen, grown)
 
+    def _close(self, w: int, start: int):
+        """Close the class of w, of two letters or more, block by block.
+
+        A move whose side ends before the last letter b stays inside the
+        prefix, so the class is a union of blocks C*b, C a closed class of
+        prefixes, and only sides that end at the last letter are tried.  A
+        block is the int ``cid << bits | b``.  This is a generator: it
+        yields each shorter word whose class it needs and has not memoised,
+        and is sent back that class's id.  Past ``CLASS_CAP`` words it
+        raises, naming ``start``, the word the caller asked for.
+        """
+        bits, cap = self._bits, CLASS_CAP
+        last, pair = (1 << bits) - 1, (1 << 2 * bits) - 1
+        get, id_of, classes = self._rules.get, self._id_of, self._classes
+        cid = id_of.get(w >> bits)
+        if cid is None:
+            cid = yield w >> bits
+        first = cid << bits | (w & last)
+        seen, frontier, size = {first}, [first], len(classes[cid])
+        while frontier:
+            grown = []
+            for block in frontier:
+                b = block & last
+                for u in classes[block >> bits]:
+                    word = u << bits | b
+                    for mask, value, delta in get(word & pair, ()):
+                        if mask != pair and ((word & mask) != value or word <= mask):
+                            continue
+                        nb = word + delta
+                        cid = id_of.get(nb >> bits)
+                        if cid is None:
+                            cid = yield nb >> bits
+                        nblock = cid << bits | (nb & last)
+                        if nblock not in seen:
+                            size += len(classes[cid])
+                            if size > cap:
+                                text = render_word(self._word(start))
+                                raise RuntimeError(f"congruence class of {text} exceeds cap {cap}")
+                            seen.add(nblock)
+                            grown.append(nblock)
+            frontier = grown
+        return self._memoise(
+            u << bits | (block & last) for block in seen for u in classes[block >> bits]
+        )
+
     def _class_of(self, w: int) -> int:
+        """The class id of a packed word, closing the classes it needs.
+
+        Classes of one letter or none are singletons.  Longer ones are
+        closed by ``_close`` generators kept on a stack, each waiting for a
+        shorter word's class, so a long word needs no deep recursion.
+        """
         cid = self._id_of.get(w)
-        return self._search(w) if cid is None else cid
+        if cid is not None:
+            return cid
+        short = 1 << 2 * self._bits  # the words of at most one letter lie below
+        waiting = []
+        want: int | None = w
+        while True:
+            if want is not None:
+                if want < short:
+                    cid = self._memoise((want,))
+                else:
+                    waiting.append(self._close(want, w))
+                    cid = None
+            if not waiting:
+                return cid
+            try:
+                want = waiting[-1].send(cid)
+            except StopIteration as done:
+                waiting.pop()
+                cid, want = done.value, None
 
     def class_id(self, word) -> int:
         return self._class_of(self._pack(self.presentation.encode(word)))
@@ -214,7 +290,7 @@ class ClassStore:
             cid = self._id_of.get(a)
             if cid is not None:
                 return b in self._classes[cid]
-        return self._search(u, v) is None
+        return self._search(u, v)
 
     def derivable(self, relation: Relation) -> bool:
         """Whether the relation's sides are equal words, by ``words_equivalent``.
@@ -228,18 +304,32 @@ class ClassStore:
     def _divisor_ids(self, word, left: bool) -> set[int]:
         """Class ids of the left (or right) divisors of the word.
 
-        The left divisor of k letters is one shift, the right one a mask
-        under a new leading 1.
+        A left divisor of a word in a class is a prefix, so the left
+        divisor classes are found class by class: the prefix of each word is
+        one shift, and a closed class has memoised its prefixes' classes
+        (one closed by ``_search`` has not, and they are closed here).  A
+        right divisor of k letters is a mask under a new leading 1.
         """
-        words = self._classes[self.class_id(word)]
+        cid = self.class_id(word)
+        id_of, class_of = self._id_of.get, self._class_of
+        if left:
+            bits = self._bits
+            ids, todo = {cid}, [cid]
+            while todo:
+                for w in self._classes[todo.pop()]:
+                    if w == 1:  # the empty word
+                        break
+                    prefix = id_of(w >> bits)
+                    if prefix is None:
+                        prefix = class_of(w >> bits)
+                    if prefix not in ids:
+                        ids.add(prefix)
+                        todo.append(prefix)
+            return ids
+        words = self._classes[cid]
         top = next(iter(words)).bit_length() - 1
-        cuts = [(top - k, (1 << k) - 1, 1 << k) for k in range(0, top + 1, self._bits)]
-        class_of = self._class_of
-        ids = set()
-        for w in words:
-            for sh, mask, one in cuts:
-                ids.add(class_of(w >> sh if left else (w & mask) | one))
-        return ids
+        cuts = [((1 << k) - 1, 1 << k) for k in range(0, top + 1, self._bits)]
+        return {class_of((w & mask) | one) for w in words for mask, one in cuts}
 
     def _shortest_first(self, ids: set[int]) -> list[Word]:
         # packed words sort shortest first, and codewise within one length
@@ -274,7 +364,11 @@ def is_garside_element(presentation: Presentation) -> bool:
 
 
 def count_simples_rewriting(presentation: Presentation) -> int:
-    """Number of left divisors of the Garside word, by pure rewriting."""
+    """Number of left divisors of the Garside word, by pure rewriting.
+
+    Closing the Garside word's class closes every prefix class first, so
+    the divisors are counted from the memo, with no second closure.
+    """
     if presentation.garside_word is None:
         raise ValueError("presentation has no Garside word")
     return len(ClassStore(presentation)._divisor_ids(presentation.garside_word, left=True))
@@ -518,15 +612,21 @@ def cube_condition(
     right-reversing c^-1 a f(a,b).  Triple (x, y, z) compares S(x,y;z)
     with S(y,z;x); the two words must name the same element, which the
     congruence oracle decides.  Each side serves two triples, so a first
-    pass reverses once every side with an entry f(a,b), grouped by the
-    negative letter c with one division memo per letter, and files its
+    pass reverses once every side with an entry f(a,b) and files its
     class id, or the status "stuck" or "diverged", in a table indexed by
-    codes.  The second pass compares the table's ids triple by triple.
+    codes.  Its first step turns c^-1 a into f(c,a) f(a,c)^-1, so one
+    reversal of f(a,c)^-1 f(a,b) to P N^-1 gives both S(a,b;c) = c f(c,a) P
+    and S(a,c;b) = b f(b,a) N.  The first pass makes that reversal once
+    per atom a and pair {b, c}, with one division memo per atom a, and
+    uses it when it reverses within ``MAX_REVERSE_STEPS`` less one (the
+    c-step) and f(c,a) exists; any other side is reversed on its own, so
+    every side's status is the one of reversing it alone.  The second
+    pass compares the table's ids triple by triple.
     A triple whose table entry is missing, or whose reversing gets stuck,
     is counted separately and proves nothing either way; a diverged side
     makes its triple diverged.  With ``sample`` set, a seeded sample of
-    that many triples is checked and only their sides are reversed; a
-    sample size below one is refused.
+    that many triples is checked and only their sides are reversed, each
+    on its own; a sample size below one is refused.
     """
     if sample is not None and sample < 1:
         raise ValueError(f"cube sample size must be at least 1, got {sample}")
@@ -537,20 +637,6 @@ def cube_condition(
     n = len(presentation.atoms)
     entries, swaps = table._entries, table._swaps
     triples = permutations(range(n), 3)
-    # wanted yields, for c = 0, 1, ..., the pairs (a, b) whose side S(a,b;c)
-    # is reversed: those of the sampled triples with both entries, or every
-    # side with an entry, listed one letter at a time
-    if sample is not None and sample < n * (n - 1) * (n - 2):
-        triples = Random(seed).sample(_Triples(n), sample)
-        read: list[set] = [set() for _ in range(n)]
-        for x, y, z in triples:
-            if (x, y) in entries and (y, z) in entries:
-                read[z].add((x, y))
-                read[x].add((y, z))
-        wanted: Iterable = read
-    else:
-        pairs = [(a, b) for a, b in entries if a != b]
-        wanted = ([p for p in pairs if c not in p] for c in range(n))
     # side[a][b][c]: class id of S(a,b;c), its status, or None if not reversed;
     # the pairs (a, b) with no side reversed share one row, so that a sample
     # over many atoms fills few of the n^3 slots
@@ -558,19 +644,56 @@ def cube_condition(
     side = [[empty] * n for _ in range(n)]
     memo: dict = {}
     ids: dict[Codes, int] = {}  # class id of each distinct reversed side
-    for c, todo in enumerate(wanted):
-        memo.clear()
-        for a, b in todo:
-            status, comp, _, _ = _reverse(swaps, (c,), (a,) + entries[a, b], memo)
-            if status == "reversed":
-                word = (c,) + comp
-                status = ids.get(word)
-                if status is None:
-                    status = ids[word] = store._class_of(store._pack(word))
-            row = side[a][b]
-            if row is empty:
-                row = side[a][b] = [None] * n
-            row[c] = status
+
+    def file(a: int, b: int, c: int, status, word: Codes = ()) -> None:
+        # a reversed side is filed by the class id of its word
+        if status == "reversed":
+            status = ids.get(word)
+            if status is None:
+                status = ids[word] = store._class_of(store._pack(word))
+        row = side[a][b]
+        if row is empty:
+            row = side[a][b] = [None] * n
+        row[c] = status
+
+    def reverse_side(a: int, b: int, c: int) -> None:
+        status, comp, _, _ = _reverse(swaps, (c,), (a,) + entries[a, b], memo)
+        file(a, b, c, status, (c,) + comp if status == "reversed" else ())
+
+    if sample is not None and sample < n * (n - 1) * (n - 2):
+        # the sides of the sampled triples with both entries, one letter c at a time
+        triples = Random(seed).sample(_Triples(n), sample)
+        read: list[set] = [set() for _ in range(n)]
+        for x, y, z in triples:
+            if (x, y) in entries and (y, z) in entries:
+                read[z].add((x, y))
+                read[x].add((y, z))
+        for c, todo in enumerate(read):
+            memo.clear()
+            for a, b in todo:
+                reverse_side(a, b, c)
+    else:
+        # every side with an entry, one letter a at a time: c^-1 a reverses in
+        # one step to f(c,a) f(a,c)^-1, so reversing f(a,c)^-1 f(a,b) once to
+        # P N^-1 gives S(a,b;c) = c f(c,a) P and S(a,c;b) = b f(b,a) N, when it
+        # reverses within the step cap less the c-step
+        cap = MAX_REVERSE_STEPS
+        for a in range(n):
+            memo.clear()
+            heads = [b for b in range(n) if b != a and (a, b) in entries]
+            for i, b in enumerate(heads):
+                for c in heads[i + 1 :]:
+                    status, pos, neg, steps = _reverse(swaps, entries[a, c], entries[a, b], memo)
+                    for x, y, comp in ((b, c, pos), (c, b, neg)):
+                        swap = swaps.get((y, a))
+                        if status == "reversed" and steps < cap and swap is not None:
+                            file(a, x, y, status, (y,) + swap[0] + comp)
+                        else:
+                            reverse_side(a, x, y)
+            for c in range(n):
+                if c != a and (a, c) not in entries:
+                    for b in heads:
+                        reverse_side(a, b, c)
     report = CubeReport()
     for x, y, z in triples:
         report.checked += 1

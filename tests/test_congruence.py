@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dualbraid import (
     ClassStore,
     ComplementTable,
+    classical_presentation,
     completed_dual_presentation,
     count_simples_rewriting,
     cube_condition,
@@ -26,9 +27,15 @@ from dualbraid.congruence import CubeReport, ReversalResult
 from dualbraid.presentation import Presentation, Relation, alpha, render_word, sigma, tau
 
 
+PRESENTATIONS = {
+    "dual": dual_presentation,
+    "completed": completed_dual_presentation,
+    "classical": classical_presentation,
+}
+
+
 def _store(name, kind="dual"):
-    ct = parse_type(name)
-    pres = dual_presentation(ct) if kind == "dual" else completed_dual_presentation(ct)
+    pres = PRESENTATIONS[kind](parse_type(name))
     return pres, ClassStore(pres)
 
 
@@ -330,15 +337,19 @@ def test_shared_memo_matches_reference(kind, label):
                 assert congruence._reverse(swaps, u, v, memo) == expected
 
 
-def _reference_class(pres, word):
-    """Reference closure: breadth-first, with the rules keyed by the first
-    code of a side and every side compared in full."""
+def _reference_rules(pres):
+    """Each relation side, both ways round, keyed by its first code."""
     rules = {}
     for rel in pres.relations:
         lhs, rhs = pres.encode(rel.lhs), pres.encode(rel.rhs)
         rules.setdefault(lhs[0], []).append((lhs, rhs))
         rules.setdefault(rhs[0], []).append((rhs, lhs))
-    start = pres.encode(word)
+    return rules
+
+
+def _reference_closure(rules, start):
+    """Reference closure of a code word: breadth-first, with the rules keyed
+    by the first code of a side and every side compared in full."""
     seen, queue = {start}, deque([start])
     while queue:
         w = queue.popleft()
@@ -349,36 +360,105 @@ def _reference_class(pres, word):
                     if nb not in seen:
                         seen.add(nb)
                         queue.append(nb)
-    return frozenset(pres.decode(w) for w in seen)
+    return frozenset(seen)
 
 
-# completed B4 has relation sides of 2-4 atoms, completed D5 of 2-5
-CLOSURE_TYPES = ["B4", "D5"]
+def _reference_class(pres, word):
+    closure = _reference_closure(_reference_rules(pres), pres.encode(word))
+    return frozenset(pres.decode(w) for w in closure)
+
+
+# completed B4 has relation sides of 2-4 atoms, completed D5 of 2-5, and
+# classical B3 and D4 of 2-4 and 2-3
+CLOSURE_CASES = [
+    ("completed", "B4"),
+    ("completed", "D5"),
+    ("dual", "A4"),
+    ("classical", "B3"),
+    ("classical", "D4"),
+]
 
 
 @cache
-def _completed_store(label):
-    return _store(label, "completed")
+def _shared_store(kind, label):
+    """A presentation and its store; only the closure test below closes
+    classes in the store, so every class in it was closed block by block."""
+    return _store(label, kind)
 
 
 @st.composite
 def closure_words(draw):
-    label = draw(st.sampled_from(CLOSURE_TYPES))
-    atoms = _completed_store(label)[0].atoms
-    return label, tuple(draw(st.lists(st.sampled_from(atoms), max_size=6)))
+    kind, label = draw(st.sampled_from(CLOSURE_CASES))
+    atoms = _shared_store(kind, label)[0].atoms
+    word = tuple(draw(st.lists(st.sampled_from(atoms), max_size=8)))
+    return kind, label, word, draw(st.booleans())
+
+
+def _memoised_class(store, codes):
+    """The class that the store has memoised for a code word, as code
+    words, or None if it has closed none for it."""
+    cid = store._id_of.get(store._pack(codes))
+    return None if cid is None else {store._unpack(w) for w in store._classes[cid]}
+
+
+def _assert_prefixes_memoised(store, pres, words):
+    """Every nonempty proper prefix of the code words is memoised with its
+    reference class."""
+    rules, checked = _reference_rules(pres), set()
+    for word in words:
+        for k in range(1, len(word)):
+            prefix = word[:k]
+            if prefix not in checked:
+                expected = _reference_closure(rules, prefix)
+                assert _memoised_class(store, prefix) == expected
+                checked |= expected
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(closure_words())
 def test_class_words_match_first_code_closure(case):
-    label, word = case
-    pres, store = _completed_store(label)
+    kind, label, word, fresh = case
+    pres, store = _store(label, kind) if fresh else _shared_store(kind, label)
     assert store.class_words(word) == _reference_class(pres, word)
+    # closing a class closes the classes of its words' prefixes first
+    _assert_prefixes_memoised(store, pres, _memoised_class(store, pres.encode(word)))
 
 
-@cache
-def _reference_class_of(pres, word):
-    return _reference_class(pres, word)
+@pytest.mark.parametrize("kind,label", [("dual", "A4"), ("completed", "B3"), ("completed", "D4")])
+def test_divisors_after_failed_searches(kind, label):
+    # a class that a failed equality search closed has memoised none of its
+    # prefixes, so the divisor sets close those classes themselves
+    pres = PRESENTATIONS[kind](parse_type(label))
+    garside = pres.garside_word
+    prefix = pres.encode(garside)[:-1]
+    rng = Random(3)
+    for _ in range(200):
+        store = ClassStore(pres)
+        first = tuple(rng.choice(pres.atoms) for _ in garside)
+        second = tuple(rng.choice(pres.atoms) for _ in prefix)
+        if (
+            not store.words_equivalent(garside, first)
+            and not store.words_equivalent(pres.decode(prefix), second)
+            and _memoised_class(store, prefix) is not None
+        ):
+            break
+    else:
+        pytest.fail("no search closed the class of the Garside word's prefix")
+    searched = _memoised_class(store, prefix)
+    assert any(_memoised_class(store, w[:-1]) is None for w in searched)
+    assert store.left_divisor_classes(garside) == _reference_divisors(pres, garside, left=True)
+    assert store.right_divisor_classes(garside) == _reference_divisors(pres, garside, left=False)
+    _assert_prefixes_memoised(store, pres, searched)
+
+
+def test_long_word_closes_without_deep_recursion():
+    # the classes of a word's 1,499 proper prefixes are closed on a stack of
+    # their own, not on the interpreter's
+    pres, store = _store("B3")
+    word = (tau(1),) * 1500
+    assert store.class_words(word) == {word}
+    assert store.words_equivalent(word, word)
+    assert len(store.left_divisor_classes(word)) == 1501
 
 
 def _reference_cube(pres, sample=None, seed=0, entries=None):
@@ -387,6 +467,7 @@ def _reference_cube(pres, sample=None, seed=0, entries=None):
     ``entries`` defaults to the presentation's own complement table."""
     if entries is None:
         entries = ComplementTable(pres)._entries
+    rules, classes = _reference_rules(pres), {}
     triples = list(permutations(range(len(pres.atoms)), 3))
     if sample is not None and sample < len(triples):
         triples = Random(seed).sample(triples, sample)
@@ -404,12 +485,15 @@ def _reference_cube(pres, sample=None, seed=0, entries=None):
             report.diverged += 1
         elif "stuck" in statuses:
             report.stuck += 1
-        elif pres.decode((x,) + second[1]) in _reference_class_of(
-            pres, pres.decode((z,) + first[1])
-        ):
-            report.passed += 1
         else:
-            report.failures.append(pres.decode((x, y, z)))
+            side = (z,) + first[1]
+            if side not in classes:
+                closure = _reference_closure(rules, side)
+                classes.update(dict.fromkeys(closure, closure))
+            if (x,) + second[1] in classes[side]:
+                report.passed += 1
+            else:
+                report.failures.append(pres.decode((x, y, z)))
     return report
 
 
@@ -429,7 +513,7 @@ def test_cube_matches_reference_cube(kind, label):
 @pytest.mark.parametrize("label", ["B3", "B4", "D4"])
 def test_cube_with_a_swapped_entry_matches_reference_cube(label, swap_entry):
     # a wrong entry makes triples fail, so the failures and their order are compared
-    pres = _completed_store(label)[0]
+    pres = _shared_store("completed", label)[0]
     table = swap_entry(ComplementTable(pres), seed=1)
     reports = [(cube_condition(pres, table=table), _reference_cube(pres, entries=table._entries))]
     for seed in (0, 7):
@@ -447,27 +531,51 @@ def test_cube_with_a_swapped_entry_matches_reference_cube(label, swap_entry):
         assert report.as_dict()["first_failure"] == first
 
 
-def test_cube_reverses_each_side_once():
-    # side S(a,b;c) reverses c^-1 a f(a,b); triples (a,b,c) and (c,a,b) both read it
-    pres = _completed_store("B4")[0]
+def test_cube_reverses_each_pair_of_complements_once():
+    # for each atom a and pair {b, c} with both entries, f(a,c)^-1 f(a,b) is
+    # reversed once; a side is reversed on its own, as c^-1 a f(a,b), only
+    # when f(a,c) or f(c,a) is missing or that reversal did not end within
+    # the cap less the c-step
+    pres = _shared_store("completed", "B4")[0]
     table = ComplementTable(pres)
     entries = table._entries
     n = len(pres.atoms)
-    sides = Counter(
-        ((c,), (a,) + entries[a, b])
-        for a, b in entries
-        if a != b
-        for c in range(n)
-        if c not in (a, b)
-    )
-    assert sum(sides.values()) == (n - 2) * table.stats()["covered"]
+    shared, alone = Counter(), Counter()
+    for a, b in entries:
+        for c in range(n):
+            if a in (b, c) or b == c:
+                continue
+            if (a, c) in entries and b < c:
+                shared[entries[a, c], entries[a, b]] += 1
+            if (a, c) in entries and (c, a) in entries:
+                status, *_, steps = _reference_reverse(entries, entries[a, c], entries[a, b])
+                if status == "reversed" and steps + 1 <= congruence.MAX_REVERSE_STEPS:
+                    continue
+            alone[(c,), (a,) + entries[a, b]] += 1
     with mock.patch.object(congruence, "_reverse", wraps=congruence._reverse) as rev:
         report = cube_condition(pres, table=table)
-    assert Counter(call.args[1:3] for call in rev.call_args_list) == sides
+    assert Counter(call.args[1:3] for call in rev.call_args_list) == shared + alone
+    # each of the (n - 2) * covered = 3,248 sides was reversed on its own before
+    assert (n - 2) * table.stats()["covered"] == 3248
+    assert rev.call_count == 1694
     assert report.as_dict()["first_failure"] is None
+    # a sample still reverses each side of its triples on its own
     with mock.patch.object(congruence, "_reverse", wraps=congruence._reverse) as rev:
         assert cube_condition(pres, table=table, sample=100, seed=7).checked == 100
     assert 0 < rev.call_count <= 200
+    assert all(len(call.args[1]) == 1 for call in rev.call_args_list)
+
+
+@pytest.mark.parametrize(
+    "kind,label", [("completed", "B4"), ("completed", "D4"), ("dual", "A4"), ("dual", "B3")]
+)
+def test_capped_cube_matches_reference_cube(kind, label):
+    # a shared reversal counts the c-step against the cap, so at every cap the
+    # report is the one of reversing each side on its own
+    pres = PRESENTATIONS[kind](parse_type(label))
+    for cap in range(9):
+        with mock.patch.object(congruence, "MAX_REVERSE_STEPS", cap):
+            assert cube_condition(pres) == _reference_cube(pres), cap
 
 
 def test_class_cap_is_the_largest_class_allowed():
@@ -489,13 +597,6 @@ SEARCH_CASES = [("completed", "B4"), ("completed", "D5"), ("dual", "A4")]
 def _closure_equivalent(store, u, v):
     """Reference equality: close u's class and look v up in it."""
     return len(u) == len(v) and v in store.class_words(u)
-
-
-def _memoised_class(store, codes):
-    """The class that the store has memoised for a code word, as code
-    words, or None if it has closed none for it."""
-    cid = store._id_of.get(store._pack(codes))
-    return None if cid is None else {store._unpack(w) for w in store._classes[cid]}
 
 
 @pytest.mark.parametrize("kind,label", SEARCH_CASES)
@@ -666,12 +767,11 @@ def test_triples_are_indexed_like_permutations():
 def _reference_divisors(pres, word, left):
     """Reference divisor representatives: the code-least word of each class
     of a prefix (or suffix) of a word in the word's class, shortest first."""
-    classes = set()
-    for w in _reference_class(pres, word):
+    rules, classes = _reference_rules(pres), set()
+    for w in _reference_closure(rules, pres.encode(word)):
         for k in range(len(w) + 1):
-            classes.add(_reference_class_of(pres, w[:k] if left else w[len(w) - k :]))
-    reps = [min(cls, key=pres.encode) for cls in classes]
-    return sorted(reps, key=lambda w: (len(w), pres.encode(w)))
+            classes.add(_reference_closure(rules, w[:k] if left else w[len(w) - k :]))
+    return [pres.decode(w) for w in sorted((min(cls) for cls in classes), key=lambda w: (len(w), w))]
 
 
 @pytest.mark.parametrize("kind,label", [("dual", "A4"), ("completed", "B3")])
