@@ -3,57 +3,45 @@
 All relations in the presentations used here preserve word length, so
 the congruence class of a word is finite.  :class:`ClassStore` answers
 equality, divisibility and Garside-word questions exactly, without
-consulting any group model.  From one word it closes and memoizes the
-word's class block by block: a relation move whose side ends before the
-last letter b stays inside the prefix, so the class of y*b is a union of
-blocks C*b, C a closed class of prefixes.  The prefix classes are closed
-and memoized first, and only the sides that end at the last letter are
-tried.  From two words it grows both sides breadth first and stops at the
-first word they share.  Its rewrite rules are indexed by the last two
-codes of a side, so a word costs one lookup per adjacent pair in a search
-and one lookup in a closure; every relation side must therefore have at
-least two atoms.
-
-Inside the store a word is one packed int: a leading 1, then one field
-per letter holding its code, the first letter highest.  A field is whole
-bytes, one while every code fits in a byte (at most 256 atoms, the cut of
-``coxeter.BYTE_POINTS``) and two up to 65,536 atoms.  The leading 1 fixes
-the length, so words that differ in a trailing code 0 stay apart; words
-of one length order as their code tuples do, and shorter words come
-first.  A rule is found by the packed pair ``(w >> shift) & pair_mask``
-where its side ends, a move adds ``(replacement - side) << shift``, and a
-left divisor is one shift:
+consulting any group model.  A closed class of k letters is kept as its
+blocks (D, a), D a closed class of k-1 letters with D*a in the class.  A
+monoid congruence is compatible with right multiplication, so
+``step(D, a)``, the class of D*a, is well defined; it is memoised, and a
+word's class is a walk of ``step`` from the empty class.  A move whose
+side ends before the last letter stays inside a block, so a block (D, b)
+is closed by the sides s that end in b alone: descending from D through
+the blocks of s's other letters, last first, reaches the classes G with
+G*s in the class, and the replacement r adds the block (the class of G
+times r but its last letter, r's last letter).  Words are expanded from
+the blocks only when asked for:
 
 >>> from .coxtypes import parse_type
 >>> from .presentation import dual_presentation, parse_word
 >>> store = ClassStore(dual_presentation(parse_type("B2")))
 >>> word = parse_word("alpha(2,1)*tau(1)")
->>> store.presentation.encode(word)
-(2, 0)
->>> hex(store._pack((2, 0)))
-'0x10200'
->>> sorted(hex(w) for w in store._classes[store.class_id(word)])
-['0x10003', '0x10102', '0x10200', '0x10301']
+>>> sorted(render_word(w) for w in store.class_words(word))
+['alpha(2,1)*tau(1)', 'beta(2,1)*tau(2)', 'tau(1)*beta(2,1)', 'tau(2)*alpha(2,1)']
+>>> store.stats()  # the empty class, four letters, and this class in four blocks
+{'classes': 6, 'blocks': 8, 'words': 9}
 
-On top of the raw congruence sit the syntactic tools of subword
-reversing: a right-complement table extracted from the relation sides
-(:class:`ComplementTable`), the reversing procedure itself
-(:func:`reverse_words`), and the associativity test for iterated
-complements (:func:`cube_condition`).  The table precomputes the pair
-(f(x,y), f(y,x)) of every x^-1 y it can reverse, and both consumers
-reverse on that swap table with one engine, which divides letter by
-letter and memoises each one-letter division.  The cube compares, for
-each triple of atoms, two sides, each a reversal of one atom against an
-atom times its complement; every side serves two triples, and one
-reversal of f(a,c)^-1 f(a,b) gives both S(a,b;c) and S(a,c;b).  So the
-cube reverses each such pair once into a table of class ids, indexed by
-codes, packing each distinct side word once, and then compares two ids
-per triple.  The table may be partial; all consumers tolerate reversing
-getting stuck and report it.
+From two words the store searches both sides breadth first over packed
+ints: a leading 1, then whole bytes per letter (one up to 256 atoms, as
+``coxeter.BYTE_POINTS``), the first letter highest, so a move adds
+``(replacement - side) << shift``.  One rule index, keyed by the packed
+last two codes of a side, serves search and closure; a side has two
+atoms at least.
+
+On top sit the tools of subword reversing: a right-complement table read
+off the relation sides (:class:`ComplementTable`), reversing on its swap
+pairs (f(x,y), f(y,x)) letter by letter with each one-letter division
+memoised (:func:`reverse_words`), and the cube test (:func:`cube_condition`),
+which files the class id of each side and compares two ids per triple.
+The table may be partial; consumers report reversing that gets stuck.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -81,18 +69,15 @@ MAX_REVERSE_STEPS = 1000
 class ClassStore:
     """Memoized congruence classes of a homogeneous presentation.
 
-    Divisor and Garside-word questions close whole classes, block by
-    block, and closing a class closes the classes of its words' prefixes
-    on the way, so the left divisors of a closed class are memo lookups.
-    Equality questions search from both words and close a class only when
-    one side runs out, so two equal words are found equal without closing
-    either class; such a class has memoized none of its prefixes.  Each
-    closed class, and each side of a search, holds at most ``CLASS_CAP``
-    words; past that the store raises ``RuntimeError`` naming the word
-    whose class was asked for (never one of its prefixes), or in a search
-    the word the overflowing side started from.  Inside the store every
-    word is a packed int, ``_bits`` bits per letter (see the module
-    docstring).
+    Class 0 is the empty word's.  A class is its blocks, letter -> prefix
+    class ids, and ``_step`` maps each block, the int ``D << _bits |
+    letter``, to its class, whose id is larger than D's.  Every prefix of
+    a word of a closed class walks to a closed class.  Divisor questions
+    close whole classes, and a closure closes those it needs first, on a
+    stack; equality questions search from both words.  A closed class, and
+    each side of a search, holds at most ``CLASS_CAP`` words; past that
+    ``RuntimeError`` names the word whose class was asked for, or the word
+    the overflowing side of a search started from.
     """
 
     def __init__(self, presentation: Presentation):
@@ -107,19 +92,22 @@ class ClassStore:
         while len(presentation.atoms) > 1 << bits:
             bits += 8
         self._bits = bits
-        # rules keyed by the packed last two codes of their side: (mask and value
-        # of the side, replacement - side); a side of two letters has mask pair
-        self._rules: dict[int, list[tuple[int, int, int]]] = {}
+        # rules keyed by the packed last two codes of their side: for the search
+        # (mask, value, replacement - side), for the closure (the side's other
+        # letters, last first, the replacement but its last letter, that letter)
+        self._rules: dict[int, list[tuple]] = {}
         pair = (1 << 2 * bits) - 1
         for rel in presentation.relations:
             lhs, rhs = presentation.encode(rel.lhs), presentation.encode(rel.rhs)
             for side, repl in ((lhs, rhs), (rhs, lhs)):
                 mask = (1 << len(side) * bits) - 1
                 value = self._pack(side) & mask  # the side without its 1
-                rule = (mask, value, self._pack(repl) - self._pack(side))
+                delta = self._pack(repl) - self._pack(side)
+                rule = (mask, value, delta, side[-3::-1], repl[:-1], repl[-1])
                 self._rules.setdefault(value & pair, []).append(rule)
-        self._classes: list[frozenset[int]] = []
-        self._id_of: dict[int, int] = {}
+        self._blocks: list[dict[int, list[int]]] = [{}]
+        self._sizes: list[int] = [1]
+        self._step: dict[int, int] = {}
 
     def _pack(self, codes: Codes) -> int:
         w, bits = 1, self._bits
@@ -135,21 +123,14 @@ class ClassStore:
     def _word(self, w: int) -> Word:
         return self.presentation.decode(self._unpack(w))
 
-    def _memoise(self, words: Iterable[int]) -> int:
-        cid = len(self._classes)
-        words = frozenset(words)
-        self._classes.append(words)
-        self._id_of.update(dict.fromkeys(words, cid))
-        return cid
-
     def _search(self, u: int, v: int) -> bool:
         """Breadth-first search from the packed words u and v, of one length.
 
         Each round expands by one level the side with the smaller frontier,
         u's on a tie, and returns True at the first word that the other side
         has already seen.  A side whose frontier runs out has seen its whole
-        class: that class is memoised and False returned.  Each side's seen
-        set holds at most ``CLASS_CAP`` words.
+        class, which so fits under the cap: that class is closed and False
+        returned.  Each side's seen set holds at most ``CLASS_CAP`` words.
         """
         if u == v:
             return True
@@ -167,7 +148,7 @@ class ClassStore:
             for w in frontier:
                 for sh in shifts:
                     x = w >> sh
-                    for mask, value, delta in get(x & pair, ()):
+                    for mask, value, delta, _, _, _ in get(x & pair, ()):
                         if mask != pair and ((x & mask) != value or x <= mask):
                             continue
                         nb = w + (delta << sh)
@@ -180,98 +161,117 @@ class ClassStore:
                             seen.add(nb)
                             grown.append(nb)
             if not grown:
-                self._memoise(seen)
+                self._walk(self._unpack(start))
                 return False
             sides[k] = (start, seen, grown)
 
-    def _close(self, w: int, start: int):
-        """Close the class of w, of two letters or more, block by block.
+    def _close(self, key: int, start: Codes):
+        """Close the class of the block ``key`` = D << bits | b.
 
-        A move whose side ends before the last letter b stays inside the
-        prefix, so the class is a union of blocks C*b, C a closed class of
-        prefixes, and only sides that end at the last letter are tried.  A
-        block is the int ``cid << bits | b``.  This is a generator: it
-        yields each shorter word whose class it needs and has not memoised,
-        and is sent back that class's id.  Past ``CLASS_CAP`` words it
-        raises, naming ``start``, the word the caller asked for.
+        A block (D, b) tries the rules of the pairs (c, b), c a letter of
+        D's blocks: a side s of L letters descends L-1 levels to the
+        classes G with G*s in the class, and each G gives the block (the
+        class of G*r_1...r_{L-1}, r_L) of the replacement r.  A generator,
+        it yields each block whose class it needs and has not memoised and
+        is sent that class's id.  Past ``CLASS_CAP`` words it raises,
+        naming ``start``.
         """
         bits, cap = self._bits, CLASS_CAP
-        last, pair = (1 << bits) - 1, (1 << 2 * bits) - 1
-        get, id_of, classes = self._rules.get, self._id_of, self._classes
-        cid = id_of.get(w >> bits)
-        if cid is None:
-            cid = yield w >> bits
-        first = cid << bits | (w & last)
-        seen, frontier, size = {first}, [first], len(classes[cid])
+        last = (1 << bits) - 1
+        get, step, blocks, sizes = self._rules.get, self._step, self._blocks, self._sizes
+        seen, frontier, size = {key}, [key], sizes[key >> bits]
         while frontier:
             grown = []
             for block in frontier:
                 b = block & last
-                for u in classes[block >> bits]:
-                    word = u << bits | b
-                    for mask, value, delta in get(word & pair, ()):
-                        if mask != pair and ((word & mask) != value or word <= mask):
-                            continue
-                        nb = word + delta
-                        cid = id_of.get(nb >> bits)
-                        if cid is None:
-                            cid = yield nb >> bits
-                        nblock = cid << bits | (nb & last)
-                        if nblock not in seen:
-                            size += len(classes[cid])
-                            if size > cap:
-                                text = render_word(self._word(start))
-                                raise RuntimeError(f"congruence class of {text} exceeds cap {cap}")
-                            seen.add(nblock)
-                            grown.append(nblock)
+                for c, below in blocks[block >> bits].items():
+                    for _, _, _, down, up, end in get(c << bits | b, ()):
+                        heads = below
+                        for s in down:
+                            heads = [g for e in heads for g in blocks[e].get(s, ())]
+                        for g in heads:
+                            for r in up:
+                                h = step.get(g << bits | r)
+                                g = (yield g << bits | r) if h is None else h
+                            nb = g << bits | end
+                            if nb not in seen:
+                                size += sizes[g]
+                                seen.add(nb)
+                                grown.append(nb)
+                if size > cap:
+                    text = render_word(self.presentation.decode(start))
+                    raise RuntimeError(f"congruence class of {text} exceeds cap {cap}")
             frontier = grown
-        return self._memoise(
-            u << bits | (block & last) for block in seen for u in classes[block >> bits]
-        )
+        cid = len(blocks)
+        by_letter: dict[int, list[int]] = {}
+        for block in seen:
+            by_letter.setdefault(block & last, []).append(block >> bits)
+        step.update(dict.fromkeys(seen, cid))
+        blocks.append(by_letter)
+        sizes.append(size)
+        return cid
 
-    def _class_of(self, w: int) -> int:
-        """The class id of a packed word, closing the classes it needs.
-
-        Classes of one letter or none are singletons.  Longer ones are
-        closed by ``_close`` generators kept on a stack, each waiting for a
-        shorter word's class, so a long word needs no deep recursion.
-        """
-        cid = self._id_of.get(w)
-        if cid is not None:
-            return cid
-        short = 1 << 2 * self._bits  # the words of at most one letter lie below
-        waiting = []
-        want: int | None = w
+    def _closed(self, key: int, start: Codes) -> int:
+        """The class id of the block ``key``, closed by ``_close`` generators on
+        a stack, each waiting for a shorter class: no deep recursion."""
+        waiting, cid = [self._close(key, start)], None
         while True:
-            if want is not None:
-                if want < short:
-                    cid = self._memoise((want,))
-                else:
-                    waiting.append(self._close(want, w))
-                    cid = None
-            if not waiting:
-                return cid
             try:
                 want = waiting[-1].send(cid)
             except StopIteration as done:
                 waiting.pop()
-                cid, want = done.value, None
+                cid = done.value
+                if not waiting:
+                    return cid
+            else:
+                waiting.append(self._close(want, start))
+                cid = None
+
+    def _walk(self, codes: Codes, cid: int = 0, prefix: Codes = (), close: bool = True):
+        """The class id of ``prefix + codes``, walking ``step`` from ``cid``, the
+        class of ``prefix``; a missing step is closed, or None if not ``close``."""
+        bits, step = self._bits, self._step
+        for a in codes:
+            key = cid << bits | a
+            cid = step.get(key)
+            if cid is None:
+                if not close:
+                    return None
+                cid = self._closed(key, prefix + codes)
+        return cid
+
+    def _expand(self, ids: Iterable[int], least: bool = False) -> dict[int, list[int]]:
+        """Packed words of the classes ids and their prefix classes, filled
+        in id order; with ``least``, only each class's least word."""
+        bits, blocks = self._bits, self._blocks
+        words = {0: [1]}
+        for c in sorted(self._prefix_ids(ids)):
+            if c:
+                found = [w << bits | a for a, below in blocks[c].items()
+                         for d in below for w in words[d]]
+                words[c] = [min(found)] if least else found
+        return words
 
     def class_id(self, word) -> int:
-        return self._class_of(self._pack(self.presentation.encode(word)))
+        return self._walk(self.presentation.encode(word))
 
     def class_words(self, word) -> frozenset[Word]:
-        return frozenset(self._word(w) for w in self._classes[self.class_id(word)])
+        cid = self.class_id(word)
+        return frozenset(self._word(w) for w in self._expand((cid,))[cid])
+
+    def stats(self) -> dict:
+        """Classes memoised (the empty word's too), their blocks, their words."""
+        return {"classes": len(self._blocks), "blocks": len(self._step), "words": sum(self._sizes)}
 
     def words_equivalent(self, u, v) -> bool:
         """Exact equality test for two positive words.
 
-        A word whose class is memoised answers from the memo.  Otherwise
-        the words are searched from both ends at once: True at the first
-        word both sides reach, False once one side has closed its class,
-        which is then memoised.  ``CLASS_CAP`` bounds each side's seen
-        set, and the ``RuntimeError`` names the start word of the side
-        that overflowed; a search that meets first answers True.
+        A word that walks to a closed class answers from the memo, as every
+        word of that class does.  Otherwise the words are searched from both
+        ends at once: True at the first word both sides reach, False once
+        one side has run out, whose class is then closed.  ``CLASS_CAP``
+        bounds each side's seen set, and the ``RuntimeError`` names the
+        start word of the side that overflowed.
 
         >>> from .coxtypes import parse_type
         >>> from .presentation import dual_presentation, parse_word
@@ -285,12 +285,11 @@ class ClassStore:
         u, v = encode(u), encode(v)
         if len(u) != len(v):
             return False
-        u, v = self._pack(u), self._pack(v)
         for a, b in ((u, v), (v, u)):
-            cid = self._id_of.get(a)
+            cid = self._walk(a, close=False)
             if cid is not None:
-                return b in self._classes[cid]
-        return self._search(u, v)
+                return self._walk(b, close=False) == cid
+        return self._search(self._pack(u), self._pack(v))
 
     def derivable(self, relation: Relation) -> bool:
         """Whether the relation's sides are equal words, by ``words_equivalent``.
@@ -301,39 +300,46 @@ class ClassStore:
         """
         return self.words_equivalent(relation.lhs, relation.rhs)
 
-    def _divisor_ids(self, word, left: bool) -> set[int]:
-        """Class ids of the left (or right) divisors of the word.
+    def _prefix_ids(self, ids: Iterable[int]) -> set[int]:
+        """The classes ids and all reached through blocks: their left divisors."""
+        blocks, found = self._blocks, set(ids)
+        todo = list(found)
+        while todo:
+            new = {d for below in blocks[todo.pop()].values() for d in below} - found
+            found |= new
+            todo.extend(new)
+        return found
 
-        A left divisor of a word in a class is a prefix, so the left
-        divisor classes are found class by class: the prefix of each word is
-        one shift, and a closed class has memoised its prefixes' classes
-        (one closed by ``_search`` has not, and they are closed here).  A
-        right divisor of k letters is a mask under a new leading 1.
-        """
-        cid = self.class_id(word)
-        id_of, class_of = self._id_of.get, self._class_of
-        if left:
-            bits = self._bits
-            ids, todo = {cid}, [cid]
-            while todo:
-                for w in self._classes[todo.pop()]:
-                    if w == 1:  # the empty word
-                        break
-                    prefix = id_of(w >> bits)
-                    if prefix is None:
-                        prefix = class_of(w >> bits)
-                    if prefix not in ids:
-                        ids.add(prefix)
-                        todo.append(prefix)
-            return ids
-        words = self._classes[cid]
-        top = next(iter(words)).bit_length() - 1
-        cuts = [((1 << k) - 1, 1 << k) for k in range(0, top + 1, self._bits)]
-        return {class_of((w & mask) | one) for w in words for mask, one in cuts}
+    def _suffix_ids(self, cid: int, start: Codes) -> set[int]:
+        """Right divisor classes, in id order: R(C) = {empty} | {step(S, b) :
+        (D, b) a block of C, S in R(D)}, each R(D) dropped after its last use."""
+        step, blocks, bits = self._step, self._blocks, self._bits
+        order = sorted(self._prefix_ids((cid,)))
+        uses = Counter(d for c in order for below in blocks[c].values() for d in below)
+        memo = {0: {0}}
+        for c in order[1:]:
+            found = memo[c] = {0}
+            for b, below in blocks[c].items():
+                for d in below:
+                    for s in memo[d]:
+                        key = s << bits | b
+                        h = step.get(key)
+                        found.add(self._closed(key, start) if h is None else h)
+                    uses[d] -= 1
+                    if not uses[d]:
+                        del memo[d]
+        return memo[cid]
+
+    def _divisor_ids(self, word, left: bool) -> set[int]:
+        """Class ids of the left (or right) divisors of the word."""
+        codes = self.presentation.encode(word)
+        cid = self._walk(codes)
+        return self._prefix_ids((cid,)) if left else self._suffix_ids(cid, codes)
 
     def _shortest_first(self, ids: set[int]) -> list[Word]:
         # packed words sort shortest first, and codewise within one length
-        return [self._word(w) for w in sorted(min(self._classes[cid]) for cid in ids)]
+        least = self._expand(ids, least=True)
+        return [self._word(w) for w in sorted(least[c][0] for c in ids)]
 
     def left_divisor_classes(self, word) -> list[Word]:
         """One representative per distinct left divisor, shortest first:
@@ -345,11 +351,9 @@ class ClassStore:
 
     def is_garside_word(self, word) -> bool:
         """Left and right divisors agree and every atom occurs among them."""
-        left = self._divisor_ids(word, left=True)
-        if left != self._divisor_ids(word, left=False):
-            return False
-        atom_ids = {self._class_of(self._pack((c,))) for c in range(len(self.presentation.atoms))}
-        return atom_ids <= left
+        left, atoms = self._divisor_ids(word, left=True), range(len(self.presentation.atoms))
+        right = self._divisor_ids(word, left=False)
+        return left == right and all(self._walk((c,)) in left for c in atoms)
 
 
 def is_garside_element(presentation: Presentation) -> bool:
@@ -364,11 +368,8 @@ def is_garside_element(presentation: Presentation) -> bool:
 
 
 def count_simples_rewriting(presentation: Presentation) -> int:
-    """Number of left divisors of the Garside word, by pure rewriting.
-
-    Closing the Garside word's class closes every prefix class first, so
-    the divisors are counted from the memo, with no second closure.
-    """
+    """Number of left divisors of the Garside word, by pure rewriting: the
+    classes reached through the blocks of its class, no word expanded."""
     if presentation.garside_word is None:
         raise ValueError("presentation has no Garside word")
     return len(ClassStore(presentation)._divisor_ids(presentation.garside_word, left=True))
@@ -611,17 +612,14 @@ def cube_condition(
     For atoms (a, b, c) the side S(a,b;c) is the word c*comp got by
     right-reversing c^-1 a f(a,b).  Triple (x, y, z) compares S(x,y;z)
     with S(y,z;x); the two words must name the same element, which the
-    congruence oracle decides.  Each side serves two triples, so a first
-    pass reverses once every side with an entry f(a,b) and files its
-    class id, or the status "stuck" or "diverged", in a table indexed by
-    codes.  Its first step turns c^-1 a into f(c,a) f(a,c)^-1, so one
-    reversal of f(a,c)^-1 f(a,b) to P N^-1 gives both S(a,b;c) = c f(c,a) P
-    and S(a,c;b) = b f(b,a) N.  The first pass makes that reversal once
-    per atom a and pair {b, c}, with one division memo per atom a, and
-    uses it when it reverses within ``MAX_REVERSE_STEPS`` less one (the
-    c-step) and f(c,a) exists; any other side is reversed on its own, so
-    every side's status is the one of reversing it alone.  The second
-    pass compares the table's ids triple by triple.
+    congruence oracle decides.  A first pass files each side's class id,
+    or "stuck" or "diverged", in a table indexed by codes; the second
+    compares two ids per triple.  As c^-1 a reverses in one step to
+    f(c,a) f(a,c)^-1, one reversal of f(a,c)^-1 f(a,b) to P N^-1, made
+    once per atom a and pair {b, c} with one division memo per a, gives
+    S(a,b;c) = c f(c,a) P and S(a,c;b) = b f(b,a) N when it ends within
+    ``MAX_REVERSE_STEPS`` less the c-step and f(c,a) exists; any other
+    side is reversed on its own, so each status is that of the side alone.
     A triple whose table entry is missing, or whose reversing gets stuck,
     is counted separately and proves nothing either way; a diverged side
     makes its triple diverged.  With ``sample`` set, a seeded sample of
@@ -643,22 +641,14 @@ def cube_condition(
     empty: list = [None] * n
     side = [[empty] * n for _ in range(n)]
     memo: dict = {}
-    ids: dict[Codes, int] = {}  # class id of each distinct reversed side
-
-    def file(a: int, b: int, c: int, status, word: Codes = ()) -> None:
-        # a reversed side is filed by the class id of its word
-        if status == "reversed":
-            status = ids.get(word)
-            if status is None:
-                status = ids[word] = store._class_of(store._pack(word))
-        row = side[a][b]
-        if row is empty:
-            row = side[a][b] = [None] * n
-        row[c] = status
+    walk = store._walk
 
     def reverse_side(a: int, b: int, c: int) -> None:
         status, comp, _, _ = _reverse(swaps, (c,), (a,) + entries[a, b], memo)
-        file(a, b, c, status, (c,) + comp if status == "reversed" else ())
+        row = side[a][b]
+        if row is empty:
+            row = side[a][b] = [None] * n
+        row[c] = walk((c,) + comp) if status == "reversed" else status
 
     if sample is not None and sample < n * (n - 1) * (n - 2):
         # the sides of the sampled triples with both entries, one letter c at a time
@@ -673,39 +663,49 @@ def cube_condition(
             for a, b in todo:
                 reverse_side(a, b, c)
     else:
-        # every side with an entry, one letter a at a time: c^-1 a reverses in
-        # one step to f(c,a) f(a,c)^-1, so reversing f(a,c)^-1 f(a,b) once to
-        # P N^-1 gives S(a,b;c) = c f(c,a) P and S(a,c;b) = b f(b,a) N, when it
-        # reverses within the step cap less the c-step
+        # every side with an entry, one letter a at a time, sharing a reversal
+        # of f(a,c)^-1 f(a,b) where it serves; such a side's class is walked on
+        # from that of its start y f(y,a), walked once per a and y
         cap = MAX_REVERSE_STEPS
         for a in range(n):
             memo.clear()
             heads = [b for b in range(n) if b != a and (a, b) in entries]
+            rows = side[a]
+            for b in heads:
+                rows[b] = [None] * n
+            starts: dict[int, tuple[Codes, int]] = {}
             for i, b in enumerate(heads):
+                fab = entries[a, b]
                 for c in heads[i + 1 :]:
-                    status, pos, neg, steps = _reverse(swaps, entries[a, c], entries[a, b], memo)
+                    status, pos, neg, steps = _reverse(swaps, entries[a, c], fab, memo)
                     for x, y, comp in ((b, c, pos), (c, b, neg)):
                         swap = swaps.get((y, a))
                         if status == "reversed" and steps < cap and swap is not None:
-                            file(a, x, y, status, (y,) + swap[0] + comp)
+                            start = starts.get(y)
+                            if start is None:
+                                start = (y,) + swap[0]
+                                start = starts[y] = (start, walk(start))
+                            rows[x][y] = walk(comp, start[1], start[0])
                         else:
                             reverse_side(a, x, y)
             for c in range(n):
                 if c != a and (a, c) not in entries:
                     for b in heads:
                         reverse_side(a, b, c)
-    report = CubeReport()
+    # one id per side: equal ints pass at once, and the tallies stay local
+    checked = passed = stuck = diverged = 0
+    failures = []
     for x, y, z in triples:
-        report.checked += 1
+        checked += 1
         first, second = side[x][y][z], side[y][z][x]
-        if first is None or second is None:
-            report.stuck += 1
-        elif "diverged" in (first, second):
-            report.diverged += 1
-        elif "stuck" in (first, second):
-            report.stuck += 1
-        elif first == second:
-            report.passed += 1
+        if first == second and type(first) is int:
+            passed += 1
+        elif first is None or second is None:
+            stuck += 1
+        elif first == "diverged" or second == "diverged":
+            diverged += 1
+        elif first == "stuck" or second == "stuck":
+            stuck += 1
         else:
-            report.failures.append(presentation.decode((x, y, z)))
-    return report
+            failures.append(presentation.decode((x, y, z)))
+    return CubeReport(checked, passed, stuck, diverged, failures)

@@ -317,7 +317,8 @@ def group_normal_form(signed_word, data: GarsideData) -> NormalForm:
     letters: list[int] = []
     inverse: list[bool] = []
     for item, sign in signed_word:
-        idx = atom_index(item)
+        # an atom equals the plain tuple of its key, which is not a letter
+        idx = atom_index(item) if type(item) is Atom else None
         if idx is None:
             # not an atom of the presentation: a simple index, or refused
             idx = _index(data, item)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .coxtypes import CoxType
@@ -63,28 +64,41 @@ _FAMILY_ALIASES = {
     "sigma": "sigma",
 }
 _UNARY = ("tau", "sigma")
+_FAMILY_NAMES = {order: name for name, order in _FAMILY_ORDER.items()}
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A named generator, binary like alpha(t,s) or unary like tau(t)."""
+class Atom(tuple):
+    """A named generator, binary like alpha(t,s) or unary like tau(t).
 
-    family: str
-    i: int
-    j: int = 0
+    An atom is the tuple of its ``key``, (family rank, i, j), so that
+    hashing, equality and ordering run in C and atoms sort by ``key``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILY_ORDER:
-            raise ValueError(f"unknown atom family {self.family!r}")
-        if self.family in _UNARY:
-            if self.j != 0:
-                raise ValueError(f"{self.family} atoms take a single index")
-        elif not self.i > self.j >= 1:
-            raise ValueError(f"{self.family} atoms need indices i > j >= 1")
+    __slots__ = ()
+
+    def __new__(cls, family: str, i: int, j: int = 0) -> Atom:
+        if family not in _FAMILY_ORDER:
+            raise ValueError(f"unknown atom family {family!r}")
+        if family in _UNARY:
+            if j != 0:
+                raise ValueError(f"{family} atoms take a single index")
+        elif not i > j >= 1:
+            raise ValueError(f"{family} atoms need indices i > j >= 1")
+        return tuple.__new__(cls, (_FAMILY_ORDER[family], i, j))
+
+    family = property(lambda self: _FAMILY_NAMES[self[0]])
+    i = property(itemgetter(1))
+    j = property(itemgetter(2))
 
     @property
     def key(self) -> tuple[int, int, int]:
-        return (_FAMILY_ORDER[self.family], self.i, self.j)
+        return tuple(self)
+
+    def __reduce__(self):
+        return (Atom, (self.family, self.i, self.j))
+
+    def __repr__(self) -> str:
+        return f"Atom(family={self.family!r}, i={self.i!r}, j={self.j!r})"
 
     def __str__(self) -> str:
         if self.family in _UNARY:
@@ -117,7 +131,7 @@ def band(t: int, s: int) -> Atom:
 
 
 def word_key(word: Word) -> tuple:
-    return (len(word), tuple(atom.key for atom in word))
+    return (len(word), word)
 
 
 @dataclass(frozen=True)

@@ -381,8 +381,8 @@ CLOSURE_CASES = [
 
 @cache
 def _shared_store(kind, label):
-    """A presentation and its store; only the closure test below closes
-    classes in the store, so every class in it was closed block by block."""
+    """A presentation and its store, shared by the examples of the property
+    tests below, so that later examples read the memo of earlier ones."""
     return _store(label, kind)
 
 
@@ -396,9 +396,10 @@ def closure_words(draw):
 
 def _memoised_class(store, codes):
     """The class that the store has memoised for a code word, as code
-    words, or None if it has closed none for it."""
-    cid = store._id_of.get(store._pack(codes))
-    return None if cid is None else {store._unpack(w) for w in store._classes[cid]}
+    words expanded from its blocks, or None if the word does not walk to
+    a closed class."""
+    cid = store._walk(codes, close=False)
+    return None if cid is None else {store._unpack(w) for w in store._expand((cid,))[cid]}
 
 
 def _assert_prefixes_memoised(store, pres, words):
@@ -426,8 +427,8 @@ def test_class_words_match_first_code_closure(case):
 
 @pytest.mark.parametrize("kind,label", [("dual", "A4"), ("completed", "B3"), ("completed", "D4")])
 def test_divisors_after_failed_searches(kind, label):
-    # a class that a failed equality search closed has memoised none of its
-    # prefixes, so the divisor sets close those classes themselves
+    # a failed equality search closes the class of the side that ran out
+    # block by block, so that class comes with its prefix classes memoised
     pres = PRESENTATIONS[kind](parse_type(label))
     garside = pres.garside_word
     prefix = pres.encode(garside)[:-1]
@@ -445,7 +446,7 @@ def test_divisors_after_failed_searches(kind, label):
     else:
         pytest.fail("no search closed the class of the Garside word's prefix")
     searched = _memoised_class(store, prefix)
-    assert any(_memoised_class(store, w[:-1]) is None for w in searched)
+    assert all(_memoised_class(store, w[:-1]) is not None for w in searched)
     assert store.left_divisor_classes(garside) == _reference_divisors(pres, garside, left=True)
     assert store.right_divisor_classes(garside) == _reference_divisors(pres, garside, left=False)
     _assert_prefixes_memoised(store, pres, searched)
@@ -457,6 +458,11 @@ def test_long_word_closes_without_deep_recursion():
     pres, store = _store("B3")
     word = (tau(1),) * 1500
     assert store.class_words(word) == {word}
+    # each prefix class is one block over the previous one: the store keeps
+    # block ints of a class id and a code, and no packed prefix
+    assert store.stats() == {"classes": 1501, "blocks": 1500, "words": 1501}
+    assert all(len(blocks) == 1 for blocks in store._blocks[1:])
+    assert max(store._step).bit_length() <= 11 + store._bits
     assert store.words_equivalent(word, word)
     assert len(store.left_divisor_classes(word)) == 1501
 
@@ -767,11 +773,35 @@ def test_triples_are_indexed_like_permutations():
 def _reference_divisors(pres, word, left):
     """Reference divisor representatives: the code-least word of each class
     of a prefix (or suffix) of a word in the word's class, shortest first."""
-    rules, classes = _reference_rules(pres), set()
+    rules, classes, found = _reference_rules(pres), {}, set()
     for w in _reference_closure(rules, pres.encode(word)):
         for k in range(len(w) + 1):
-            classes.add(_reference_closure(rules, w[:k] if left else w[len(w) - k :]))
-    return [pres.decode(w) for w in sorted((min(cls) for cls in classes), key=lambda w: (len(w), w))]
+            part = w[:k] if left else w[len(w) - k :]
+            if part not in classes:
+                closure = _reference_closure(rules, part)
+                classes.update(dict.fromkeys(closure, closure))
+            found.add(classes[part])
+    return [pres.decode(w) for w in sorted((min(cls) for cls in found), key=lambda w: (len(w), w))]
+
+
+DIVISOR_CASES = [("dual", "A4"), ("completed", "B3"), ("completed", "D4")]
+
+
+@st.composite
+def divisor_words(draw):
+    kind, label = draw(st.sampled_from(DIVISOR_CASES))
+    atoms = _shared_store(kind, label)[0].atoms
+    word = tuple(draw(st.lists(st.sampled_from(atoms), max_size=6)))
+    return kind, label, word, draw(st.booleans())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(divisor_words())
+def test_divisor_classes_of_random_words_match_reference(case):
+    kind, label, word, fresh = case
+    pres, store = _store(label, kind) if fresh else _shared_store(kind, label)
+    assert store.right_divisor_classes(word) == _reference_divisors(pres, word, left=False)
+    assert store.left_divisor_classes(word) == _reference_divisors(pres, word, left=True)
 
 
 @pytest.mark.parametrize("kind,label", [("dual", "A4"), ("completed", "B3")])

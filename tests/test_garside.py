@@ -233,6 +233,19 @@ def test_boolean_letters_and_signs_are_refused():
     assert group_normal_form([(t1, 1), (t1, -1)], data) == group_normal_form([], data)
 
 
+def test_plain_tuples_are_not_letters():
+    # an atom equals the plain tuple of its key, but only the atom is a letter
+    data = dual_garside_data(parse_type("B2"))
+    t1 = parse_word("tau(1)")[0]
+    assert t1 == tuple(t1) and tuple(t1) in data.atom_labels
+    for letter in (tuple(t1), t1.key):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            group_normal_form([(letter, 1)], data)
+        with pytest.raises(TypeError, match="cannot interpret"):
+            normal_form([letter], data)
+    assert normal_form([t1], data) == NormalForm(0, (data.atom_labels[t1],))
+
+
 @pytest.mark.parametrize(
     "kind,label,foreign",
     [("dual", "B2", "a(2,1)*alpha(3,1)"), ("classical", "A3", "tau(1)*sigma(4)")],

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from dualbraid import (
@@ -17,6 +19,7 @@ from dualbraid import (
     word_image,
 )
 from dualbraid.cli import TABLE_TYPES
+from dualbraid.presentation import Atom, Relation, alpha, band, beta, sigma, tau, word_key
 
 
 def test_atom_parse_render_round_trip():
@@ -41,6 +44,42 @@ def test_alphabet_order_and_codes():
                 codes = pres.encode(word)
                 assert all(isinstance(c, int) for c in codes)
                 assert pres.decode(codes) == word
+
+
+def test_atoms_are_tuple_values_ordered_like_their_key():
+    a = alpha(3, 1)
+    # hashing and equality are tuple's own, so they run in C
+    assert Atom.__hash__ is tuple.__hash__ and Atom.__eq__ is tuple.__eq__
+    assert a == alpha(3, 1) and hash(a) == hash(alpha(3, 1))
+    assert a != alpha(3, 2) and a != beta(3, 1)
+    assert a.key == (1, 3, 1) and type(a.key) is tuple
+    assert (a.family, a.i, a.j) == ("alpha", 3, 1)
+    assert (tau(2).family, tau(2).i, tau(2).j) == ("tau", 2, 0)
+    assert repr(a) == "Atom(family='alpha', i=3, j=1)"
+    assert str(a) == "alpha(3,1)" and str(tau(2)) == "tau(2)" and str(band(4, 2)) == "a(4,2)"
+    assert Atom(family="sigma", i=2) == sigma(2)
+    atoms = [sigma(2), band(3, 1), beta(2, 1), alpha(4, 2), tau(3), alpha(4, 1), tau(1)]
+    assert sorted(atoms) == sorted(atoms, key=lambda x: x.key)
+    # words order by length, then atom by atom in key order
+    words = [(tau(2),), (alpha(2, 1), tau(1)), (tau(1), beta(2, 1)), (tau(1), alpha(2, 1))]
+    expected = sorted(words, key=lambda w: (len(w), [x.key for x in w]))
+    assert sorted(words, key=word_key) == expected
+    assert Relation((alpha(2, 1), tau(1)), (tau(2), alpha(2, 1))).lhs == (tau(2), alpha(2, 1))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(a, protocol))
+        assert copy == a and type(copy) is Atom and repr(copy) == repr(a)
+    with pytest.raises(AttributeError):
+        a.i = 2
+    with pytest.raises(AttributeError):
+        a.label = "x"
+    for args, message in [
+        (("gamma", 2, 1), "unknown atom family 'gamma'"),
+        (("tau", 2, 1), "tau atoms take a single index"),
+        (("alpha", 1, 2), r"alpha atoms need indices i > j >= 1"),
+        (("beta", 2, 0), r"beta atoms need indices i > j >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Atom(*args)
 
 
 def test_atom_parse_rejects_garbage():
