@@ -168,13 +168,21 @@ class GarsideData:
         return tuple(out)
 
     def word_indices(self, word: Word) -> list[int]:
-        """Map an atom word to simple indices."""
-        if self.atom_labels is None:
+        """Map an atom word to simple indices.
+
+        A letter that is not an atom of this structure raises ValueError,
+        a plain tuple equal to an atom's key included.
+        """
+        labels = self.atom_labels
+        if labels is None:
             raise ValueError(f"type {self.ctype} has no named generators")
-        try:
-            return [self.atom_labels[a] for a in word]
-        except KeyError as exc:
-            raise ValueError(f"{exc.args[0]} is not an atom of this structure") from None
+        indices = []
+        for atom in word:
+            index = labels.get(atom) if type(atom) is Atom else None
+            if index is None:
+                raise ValueError(f"{atom} is not an atom of this structure")
+            indices.append(index)
+        return indices
 
 
 @dataclass(frozen=True)

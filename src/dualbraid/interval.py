@@ -27,14 +27,19 @@ group model's own (byte strings for at most 256 points, image tuples
 beyond), and every product is one ``act`` of the model on a table built
 once per reflection.
 
-Meets and joins take and return element indices (``poset.index`` maps an
-element to its index).  They read int bitsets built once from the cover
-edges: bit i of ``down_masks[j]`` and bit top - j of ``up_masks[i]`` are
-set when i lies below j, so each mask spans only the part of the order on
-its own side.  The lattice check first certifies that the complement maps
-send covers to covers, then compares meets and joins with their complement
-route, over every pair of a poset of at most ``EXHAUSTIVE_LIMIT`` elements
-and over a seeded sample of pairs of a larger one.
+The poset keeps its Hasse diagram once, as upper covers: ``covers_up[i]``
+holds the indices just above i, and ``cover_edges`` is a read-only view
+that yields the same diagram as (lo, hi) pairs and counts them without
+building any.  Meets and joins take and return element indices
+(``poset.index`` maps an element to its index).  They read int bitsets
+built once from the covers: bit i of ``down_masks[j]`` and bit top - j of
+``up_masks[i]`` are set when i lies below j, so each mask spans only the
+part of the order on its own side; the lower covers that the down masks
+need are built for them and dropped.  The lattice check first certifies
+that the complement maps send covers to covers, then compares meets and
+joins with their complement route, over every pair of a poset of at most
+``EXHAUSTIVE_LIMIT`` elements and over a seeded sample of pairs of a
+larger one.
 """
 
 from __future__ import annotations
@@ -61,21 +66,53 @@ class LatticeError(RuntimeError):
     """
 
 
+class CoverEdges:
+    """Read-only view of a poset's cover pairs (lo, hi), lo below hi.
+
+    Iteration yields the pairs from the upper covers, lo in increasing
+    order and each lo's covers in stored order; ``len`` is counted once,
+    when the view is made, so asking for it builds no pair.
+    """
+
+    __slots__ = ("_ups", "_count")
+
+    def __init__(self, ups: tuple[tuple[int, ...], ...]):
+        self._ups = ups
+        self._count = sum(map(len, ups))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        for lo, ups in enumerate(self._ups):
+            for hi in ups:
+                yield lo, hi
+
+
 class IntervalPoset:
     """Graded poset with a top element and complement maps.
 
     Elements are group elements indexed in grade-monotone order.  The
     ``komp`` array sends index i to the index of the left complement
     (the element x with u * x = top), which reverses the grading.
-    ``index`` maps an element to its index.
+    ``index`` maps an element to its index.  The Hasse diagram is kept
+    once, as ``covers_up``: entry i holds the indices just above i.
+    ``cover_edges`` views it as (lo, hi) pairs.
+
+    >>> from dualbraid import enumerate_interval, parse_type
+    >>> poset = enumerate_interval(parse_type("A2"))
+    >>> poset.covers_up
+    ((1, 2, 3), (4,), (4,), (4,), ())
+    >>> len(poset.cover_edges)
+    6
     """
 
-    def __init__(self, ctype, group, elements, grades, cover_edges, komp, order_kind):
+    def __init__(self, ctype, group, elements, grades, covers_up, komp, order_kind):
         self.ctype = ctype
         self.group = group
         self.elements = tuple(elements)
         self.grades = tuple(grades)
-        self.cover_edges = tuple(cover_edges)
+        self.covers_up = tuple(map(tuple, covers_up))
         self.komp = tuple(komp)
         self.order_kind = order_kind
         size = len(self.elements)
@@ -89,10 +126,15 @@ class IntervalPoset:
         self.top = size - 1
         if self.grades.count(self.rank) != 1:
             raise ValueError("top grade is not unique")
+        if len(self.covers_up) != size:
+            raise ValueError("upper covers do not list one entry per element")
         grades = self.grades
-        for lo, hi in self.cover_edges:
-            if grades[hi] != grades[lo] + 1:
-                raise ValueError(f"cover edge {(lo, hi)} does not join adjacent grades")
+        for lo, ups in enumerate(self.covers_up):
+            above = grades[lo] + 1
+            for hi in ups:
+                if grades[hi] != above:
+                    raise ValueError(f"cover edge {(lo, hi)} does not join adjacent grades")
+        self.cover_edges = CoverEdges(self.covers_up)
         if sorted(self.komp) != list(range(size)):
             raise ValueError("complement map is not a bijection")
         for i, k in enumerate(self.komp):
@@ -110,24 +152,14 @@ class IntervalPoset:
         return tuple(inv)
 
     @cached_property
-    def covers_up(self) -> tuple[tuple[int, ...], ...]:
-        ups: list[list[int]] = [[] for _ in range(len(self))]
-        for lo, hi in self.cover_edges:
-            ups[lo].append(hi)
-        return tuple(tuple(u) for u in ups)
-
-    @cached_property
-    def covers_down(self) -> tuple[tuple[int, ...], ...]:
-        downs: list[list[int]] = [[] for _ in range(len(self))]
-        for lo, hi in self.cover_edges:
-            downs[hi].append(lo)
-        return tuple(tuple(d) for d in downs)
-
-    @cached_property
     def down_masks(self) -> tuple[int, ...]:
         """Bit i of down_masks[j] is set iff element i divides element j."""
+        # the lower covers live only while the masks are built
+        downs: list[list[int]] = [[] for _ in range(len(self))]
+        for lo, ups in enumerate(self.covers_up):
+            for hi in ups:
+                downs[hi].append(lo)
         masks = [0] * len(self)
-        downs = self.covers_down
         for i in range(len(self)):
             m = 1 << i
             for p in downs[i]:
@@ -209,7 +241,8 @@ def enumerate_interval(ctype: CoxType) -> IntervalPoset:
     grades = [0]
     # complement key -> index of the element whose complement it is
     index_by_key = {c[:width]: 0}
-    edges: list[tuple[int, int]] = []
+    # upper covers, one tuple per element, appended as its grade is left
+    covers: list[tuple[int, ...]] = []
     # the frontier's full complements and reflection masks: a mask starts
     # as the first parent's found set and is exact once a later parent
     # brings another set; otherwise it holds candidates for the model
@@ -228,6 +261,7 @@ def enumerate_interval(ctype: CoxType) -> IntervalPoset:
                 shorter = group.shortenings(x, n - k, _bits(mask))
                 found = sum(1 << i for i, _ in shorter)
             table = x + pad
+            ups: list[int] = []
             for i in _bits(found):
                 key = act(heads[i], table)
                 vi = index_by_key.get(key)
@@ -243,12 +277,15 @@ def enumerate_interval(ctype: CoxType) -> IntervalPoset:
                     # the frontier of grade k + 1 holds the indices hi, hi + 1, ...
                     nxt_masks[vi - hi] &= found
                     nxt_exact[vi - hi] = True
-                edges.append((ui, vi))
+                ups.append(vi)
+            covers.append(tuple(ups))
         frontier, comps, masks, exact = nxt, nxt_comps, nxt_masks, nxt_exact
+    # the top grade covers nothing
+    covers.extend(() for _ in frontier)
     komp = [0] * len(elements)
     for j, el in enumerate(elements):
         komp[index_by_key[el[:width]]] = j
-    return IntervalPoset(ctype, group, elements, grades, edges, komp, "absolute")
+    return IntervalPoset(ctype, group, elements, grades, covers, komp, "absolute")
 
 
 def _bits(mask: int):
@@ -280,15 +317,14 @@ def weak_order_poset(ctype: CoxType) -> IntervalPoset:
     grades = [index[el] for el in elements]
     index.update(zip(elements, range(len(elements))))
     tables = [s + group.pad for s in group.simples]
-    edges = []
-    for vi, v in enumerate(elements):
-        for table in tables:
-            ui = index[act(v, table)]
-            if grades[ui] == grades[vi] - 1:
-                edges.append((ui, vi))
+    # the upper covers of u are its ascents u s, in the order of the simples
+    covers = []
+    for u, g in zip(elements, grades):
+        ups = [index[act(u, table)] for table in tables]
+        covers.append(tuple(v for v in ups if grades[v] == g + 1))
     w0 = elements[-1]
     komp = tuple(index[group.left_div(el, w0)] for el in elements)
-    return IntervalPoset(ctype, group, elements, grades, edges, komp, "weak")
+    return IntervalPoset(ctype, group, elements, grades, covers, komp, "weak")
 
 
 @dataclass
@@ -349,6 +385,16 @@ def _check_pair(poset: IntervalPoset, i: int, j: int, violations: list) -> None:
             violations.append((i, j, "complement", str(exc)))
 
 
+def _komp_reverses_covers(komp, ups) -> bool:
+    """Whether komp[hi] lies just below komp[lo] for every cover lo < hi."""
+    for lo, his in enumerate(ups):
+        klo = komp[lo]
+        for hi in his:
+            if klo not in ups[komp[hi]]:
+                return False
+    return True
+
+
 def verify_lattice(
     poset: IntervalPoset, samples: int = 10_000, seed: int = 94111
 ) -> LatticeReport:
@@ -375,10 +421,7 @@ def verify_lattice(
         # the finite set of covers, and komp_inv, which undoes it, sends
         # every cover to a cover too; both maps are walked only to name
         # the first edge that fails
-        for lo, hi in poset.cover_edges:
-            if komp[lo] not in ups[komp[hi]]:
-                reversal_ok = False
-                break
+        reversal_ok = _komp_reverses_covers(komp, ups)
         if not reversal_ok:
             komp_inv = poset.komp_inv
             for lo, hi in poset.cover_edges:

@@ -107,6 +107,7 @@ class Atom(tuple):
 
 
 Word = tuple[Atom, ...]
+_ATOM_TYPE = frozenset((Atom,))
 
 
 def alpha(t: int, s: int) -> Atom:
@@ -190,13 +191,24 @@ class Presentation:
         return {atom: code for code, atom in enumerate(self.atoms)}
 
     def encode(self, word) -> tuple[int, ...]:
-        """The integer codes of an atom word; a foreign atom raises ValueError."""
+        """The integer codes of an atom word.
+
+        A foreign atom raises ValueError, and so does a plain tuple equal to
+        an atom's key, which the code table alone would take for that atom.
+        """
         try:
-            return tuple(self._code_of[atom] for atom in word)
+            codes = tuple(map(self._code_of.__getitem__, word))
         except KeyError as exc:
-            raise ValueError(
-                f"{exc.args[0]} is not an atom of the {self.kind} presentation of {self.ctype}"
-            ) from None
+            raise self._not_an_atom(exc.args[0]) from None
+        # one C-level pass over the letters' types, not a test per letter
+        if not _ATOM_TYPE.issuperset(map(type, word)):
+            raise self._not_an_atom(next(a for a in word if type(a) is not Atom))
+        return codes
+
+    def _not_an_atom(self, letter) -> ValueError:
+        return ValueError(
+            f"{letter} is not an atom of the {self.kind} presentation of {self.ctype}"
+        )
 
     def decode(self, codes) -> Word:
         return tuple(self.atoms[c] for c in codes)

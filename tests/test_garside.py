@@ -246,6 +246,18 @@ def test_plain_tuples_are_not_letters():
     assert normal_form([t1], data) == NormalForm(0, (data.atom_labels[t1],))
 
 
+def test_word_indices_refuses_a_plain_tuple_equal_to_an_atom():
+    data = dual_garside_data(parse_type("B2"))
+    t1, t5 = parse_word("tau(1)*tau(5)")
+    assert t1 == (0, 1, 0) and data.word_indices([t1]) == [data.atom_labels[t1]]
+    message = r"\(0, 1, 0\) is not an atom of this structure"
+    for word in (((0, 1, 0),), (t1, (0, 1, 0))):
+        with pytest.raises(ValueError, match=message):
+            data.word_indices(word)
+    with pytest.raises(ValueError, match=r"tau\(5\) is not an atom of this structure"):
+        data.word_indices((t1, t5))
+
+
 @pytest.mark.parametrize(
     "kind,label,foreign",
     [("dual", "B2", "a(2,1)*alpha(3,1)"), ("classical", "A3", "tau(1)*sigma(4)")],

@@ -181,7 +181,7 @@ def test_inherited_candidates_match_a_full_scan():
         elements, grades, edges, komp = _interval_by_full_scan(poset.group)
         assert poset.elements == elements, name
         assert poset.grades == grades, name
-        assert poset.cover_edges == edges, name
+        assert tuple(poset.cover_edges) == edges, name
         assert poset.komp == komp, name
 
 
@@ -327,7 +327,7 @@ def test_tuple_codec_matches_byte_codec(monkeypatch):
         found = list(forced.enumerate_group().items())
         assert found == [(tuple(u), d) for u, d in group.enumerate_group().items()], name
         assert by_tuples.elements == tuple(map(tuple, by_bytes.elements)), name
-        assert by_tuples.cover_edges == by_bytes.cover_edges, name
+        assert tuple(by_tuples.cover_edges) == tuple(by_bytes.cover_edges), name
         assert by_tuples.komp == by_bytes.komp, name
 
 
@@ -368,13 +368,13 @@ def test_missing_bound_raises_lattice_error():
     # b is maximal but not the top, so b and t have no upper bound; with
     # the edge e < b dropped, b and t have no lower bound either
     poset = IntervalPoset(
-        None, None, "eabt", [0, 1, 1, 2], [(0, 1), (0, 2), (1, 3)], [3, 2, 1, 0], "absolute"
+        None, None, "eabt", [0, 1, 1, 2], [(1, 2), (3,), (), ()], [3, 2, 1, 0], "absolute"
     )
     with pytest.raises(LatticeError, match="no upper bound for indices 2, 3"):
         poset.join_index(2, 3)
     assert poset.meet_index(2, 3) == 0
     poset = IntervalPoset(
-        None, None, "eabt", [0, 1, 1, 2], [(0, 1), (1, 3)], [3, 2, 1, 0], "absolute"
+        None, None, "eabt", [0, 1, 1, 2], [(1,), (3,), (), ()], [3, 2, 1, 0], "absolute"
     )
     with pytest.raises(LatticeError, match="no lower bound for indices 2, 3"):
         poset.meet_index(2, 3)
@@ -383,7 +383,7 @@ def test_missing_bound_raises_lattice_error():
 def test_cover_edges_must_join_adjacent_grades():
     with pytest.raises(ValueError, match=r"cover edge \(0, 3\)"):
         IntervalPoset(
-            None, None, "eabt", [0, 1, 1, 2], [(0, 1), (0, 2), (0, 3)], [3, 2, 1, 0], "absolute"
+            None, None, "eabt", [0, 1, 1, 2], [(1, 2, 3), (), (), ()], [3, 2, 1, 0], "absolute"
         )
 
 
@@ -407,7 +407,7 @@ def test_verify_lattice_names_a_cover_the_complement_does_not_reverse():
         komp[a], komp[b] = komp[b], komp[a]
         mutant = IntervalPoset(
             poset.ctype, poset.group, poset.elements, poset.grades,
-            poset.cover_edges, komp, "absolute",
+            poset.covers_up, komp, "absolute",
         )
         report = verify_lattice(mutant)
         ok, edge = _reversal_by_le(mutant)
@@ -476,9 +476,9 @@ def test_weak_order_poset_h3():
 
 def test_verify_lattice_counts_the_pairs_it_checked(monkeypatch):
     # a bowtie: two atoms below two coatoms, so neither pair has a bound
-    edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
+    covers = [(1, 2), (3, 4), (3, 4), (5,), (5,), ()]
     poset = IntervalPoset(
-        parse_type("A3"), None, "eabcdt", [0, 1, 1, 2, 2, 3], edges, [5, 3, 4, 1, 2, 0], "weak"
+        parse_type("A3"), None, "eabcdt", [0, 1, 1, 2, 2, 3], covers, [5, 3, 4, 1, 2, 0], "weak"
     )
     monkeypatch.setattr(interval, "EXHAUSTIVE_LIMIT", 0)
     report = verify_lattice(poset, samples=10_000)
@@ -551,3 +551,89 @@ def test_verify_lattice_refuses_an_empty_sample(samples):
     poset = enumerate_interval(parse_type("A6"))
     with pytest.raises(ValueError, match=f"sample size must be at least 1, got {samples}"):
         verify_lattice(poset, samples=samples)
+
+
+def _weak_order_by_products(group, elements):
+    """Cover pairs of the prefix order, from ``mul`` and ``simples`` only.
+
+    u < u s is a cover when s lengthens u; pairs come by lo index, then in
+    the order of the simples.  Lengths come from ``_full_tuple_search``.
+    """
+    depth = _full_tuple_search(group)
+    index = {el: i for i, el in enumerate(elements)}
+    pairs = []
+    for u in elements:
+        for s in group.simples:
+            v = group.mul(u, s)
+            if depth[v] == depth[u] + 1:
+                pairs.append((index[u], index[v]))
+    return tuple(pairs)
+
+
+def _pull_masks(size, pairs):
+    """Down and up masks, each element's mask pulled from its covers' masks."""
+    below = {j: [] for j in range(size)}
+    above = {i: [] for i in range(size)}
+    for lo, hi in pairs:
+        below[hi].append(lo)
+        above[lo].append(hi)
+    top = size - 1
+    down, up = {}, {}
+    for j in range(size):
+        down[j] = 1 << j
+        for lo in below[j]:
+            down[j] |= down[lo]
+    for i in range(top, -1, -1):
+        up[i] = 1 << (top - i)
+        for hi in above[i]:
+            up[i] |= up[hi]
+    return tuple(down[j] for j in range(size)), tuple(up[i] for i in range(size))
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [(name, "absolute") for name in ["A4", "B4", "D5", "H3", "F4", "I2(7)"]]
+    + [("A3", "weak"), ("B3", "weak")],
+)
+def test_upper_covers_match_a_reference(name, order, monkeypatch):
+    # the reference shares no code with the poset's cover storage: pairs
+    # from the full scan or from products, masks pulled pair by pair
+    ct = parse_type(name)
+    if order == "absolute":
+        poset = enumerate_interval(ct)
+        pairs = _interval_by_full_scan(poset.group)[2]
+    else:
+        poset = weak_order_poset(ct)
+        pairs = _weak_order_by_products(poset.group, poset.elements)
+    assert tuple(poset.cover_edges) == pairs
+    assert poset.covers_up == tuple(
+        tuple(hi for lo, hi in pairs if lo == i) for i in range(len(poset))
+    )
+    down, up = _pull_masks(len(poset), pairs)
+    assert poset.down_masks == down
+    assert poset.up_masks == up
+
+    def no_iteration(self):
+        raise AssertionError("len() iterated the cover view")
+
+    monkeypatch.setattr(type(poset.cover_edges), "__iter__", no_iteration)
+    assert len(poset.cover_edges) == len(pairs)
+
+
+@pytest.mark.parametrize("name", ["A4", "B3"])
+def test_verify_lattice_catches_any_dropped_cover(name):
+    # each mutant loses one upper cover, and with it the relation lo < hi
+    base = enumerate_interval(parse_type(name))
+    mutants = 0
+    for lo, ups in enumerate(base.covers_up):
+        for hi in ups:
+            covers = list(base.covers_up)
+            covers[lo] = tuple(v for v in ups if v != hi)
+            mutant = IntervalPoset(
+                base.ctype, base.group, base.elements, base.grades, covers, base.komp,
+                "absolute",
+            )
+            assert len(mutant.cover_edges) == len(base.cover_edges) - 1
+            assert not verify_lattice(mutant).ok, (name, lo, hi)
+            mutants += 1
+    assert mutants == len(base.cover_edges)

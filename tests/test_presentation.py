@@ -212,3 +212,17 @@ def test_as_dict_reports_completion_bookkeeping():
     assert data["duplicates_skipped"] == 1
     assert data["rejected"] == []
     assert data["num_atoms"] == 9
+
+
+def test_encode_refuses_a_plain_tuple_equal_to_an_atom():
+    # an atom is the tuple of its key, so the code table alone would take
+    # the plain tuple for the atom
+    pres = dual_presentation(parse_type("B2"))
+    t1 = tau(1)
+    assert t1 == (0, 1, 0) and pres.encode((t1,)) == (0,)
+    message = r"\(0, 1, 0\) is not an atom of the dual presentation of B2"
+    for word in (((0, 1, 0),), (t1, (0, 1, 0)), ((0, 1, 0), t1)):
+        with pytest.raises(ValueError, match=message):
+            pres.encode(word)
+    with pytest.raises(ValueError, match=r"tau\(5\) is not an atom of the dual"):
+        pres.encode((t1, tau(5)))
