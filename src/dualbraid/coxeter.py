@@ -6,7 +6,7 @@ n + 1 points of A(n); the 2n signed points of B(n) and D(n), where +k is
 point k - 1 and -k is point n + k - 1; the m vertices of the m-gon for
 I2(m), on which the reflection s_k sends i to k - i mod m (faithful
 because m >= 3); and the roots of H3, H4, F4, E6, E7 and E8.  So one
-``mul``, ``inv``, Cayley-graph search and ``shortenings`` serve every type,
+``mul``, ``inv``, the group search and ``shortenings`` serve every type,
 and a model supplies only its simples, reflections, ``refl_length`` and
 ``atom_image``.
 
@@ -48,13 +48,22 @@ complements it cannot settle from two parents, c and its lower covers on
 a reflection group, with ``among`` narrowed to the reflections below every
 parent; the model tests each candidate it is given.
 
-The Cayley-graph search multiplies the whole frontier by each simple
-reflection in C.  Interval enumeration looks complements up by the images
-of their first max(rank, 2) points, which determine an element in every
-model: the last point of A(n) goes where the others leave room, -k goes to
-the negative of the image of +k in B(n) and D(n), a dihedral symmetry is
-fixed by where it sends two adjacent vertices, and the first rank roots of
-H/F/E are the simple roots, a basis.
+The group search builds W along the chain of standard parabolic
+subgroups W_J, J the first k simples for k = 0, ..., rank.  The next
+step W_K is the disjoint union of the cosets W_J x over the minimal
+right-coset representatives x, with l(y x) = l(y) + l(x) for y in W_J
+(Humphreys, *Reflection Groups and Coxeter Groups*, 1.10).  The cosets
+are found by a search over the images of a W_J-orbit of points, whose
+stabiliser Schreier's lemma checks to be W_J, and each coset's products
+are one ``act`` per element in C: about |W| products in all, where a
+Cayley-graph search makes rank |W|.
+
+Interval enumeration looks complements up by the images of their first
+max(rank, 2) points, which determine an element in every model: the last
+point of A(n) goes where the others leave room, -k goes to the negative
+of the image of +k in B(n) and D(n), a dihedral symmetry is fixed by
+where it sends two adjacent vertices, and the first rank roots of H/F/E
+are the simple roots, a basis.
 
 The root model builds its roots exactly, over Z or over the golden ring
 Z[phi] for H3 and H4, and answers its two rank questions, the reflection
@@ -66,7 +75,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from itertools import chain, filterfalse, repeat
+from itertools import repeat
 from typing import Iterable
 
 from .coxtypes import CoxType
@@ -140,30 +149,102 @@ class _GroupBase:
         return el
 
     def enumerate_group(self) -> dict:
-        """BFS over the Cayley graph; maps element -> word length ell_S.
+        """Every element of W, mapped to its word length ell_S.
 
-        A frontier is multiplied by every simple reflection with ``act``,
-        in C, and the products new to the search form the next frontier in
-        discovery order: by frontier element, then by simple.
+        W is built along the chain of standard parabolic subgroups W_J in
+        W_K, where K is the first k + 1 simples and J the first k.  Each
+        step finds the minimal representatives x of the right cosets W_J x
+        in W_K (``_transversal``), then writes W_K as the products y x over
+        y in W_J, one ``act`` per element and one coset at a time in C,
+        with length l(y) + l(x).  Each step is checked twice: the
+        representatives pass a Schreier check, and the products are
+        distinct, |W_K| = |W_J| times the number of cosets.  At the end W
+        must have ``group_order`` elements.  A failed check raises
+        ``RuntimeError`` naming the type.  The dict is ordered coset by
+        coset: by representative in search order, then as W_J.
         """
-        act = self.act
-        tables = [s + self.pad for s in self.simples]
-        frontier = [self.identity]
-        depth = dict.fromkeys(frontier, 0)
-        d = 0
-        while frontier:
-            d += 1
-            products = chain.from_iterable(
-                zip(*(map(act, frontier, repeat(table)) for table in tables))
-            )
-            frontier = list(dict.fromkeys(filterfalse(depth.__contains__, products)))
-            depth.update(zip(frontier, repeat(d)))
-        if len(depth) != self.ctype.group_order:
+        act, pad = self.act, self.pad
+        group = {self.identity: 0}
+        for k in range(len(self.simples)):
+            reps = self._transversal(group, k)
+            if reps is None:
+                raise RuntimeError(
+                    f"group {self.ctype}: no orbit of points that simple {k + 1} "
+                    f"moves has the subgroup of simples 1..{k} as its stabiliser"
+                )
+            sub, group = group, {}
+            for x, d in reps:
+                products = map(act, sub, repeat(x + pad))
+                group.update(zip(products, map(operator.add, sub.values(), repeat(d))))
+            if len(group) != len(reps) * len(sub):
+                raise RuntimeError(
+                    f"group {self.ctype}: the cosets of the subgroup of simples 1..{k} "
+                    f"overlap in the subgroup of simples 1..{k + 1}"
+                )
+        if len(group) != self.ctype.group_order:
             raise RuntimeError(
-                f"group {self.ctype}: BFS reached {len(depth)} elements, "
+                f"group {self.ctype}: the simples generate {len(group)} elements, "
                 f"expected {self.ctype.group_order}"
             )
-        return depth
+        return group
+
+    def _transversal(self, sub: dict, k: int) -> list | None:
+        """Minimal right-coset representatives of W_J in W_K, with lengths.
+
+        ``sub`` is W_J, J the first k simples, and K adds simple k + 1.
+        The candidate point sets Q are the W_J-orbits of the points that
+        simple k + 1 moves, taken by least point; the first that passes
+        ``_coset_search`` gives the (x, d) pairs, and None means none did.
+        """
+        simples = self.simples[: k + 1]
+        tried: set[int] = set()
+        for p, image in enumerate(simples[k]):
+            if p == image or p in tried:
+                continue
+            orbit, stack = {p}, [p]
+            while stack:
+                q = stack.pop()
+                for s in simples[:k]:
+                    if s[q] not in orbit:
+                        orbit.add(s[q])
+                        stack.append(s[q])
+            tried |= orbit
+            reps = self._coset_search(sub, simples, tuple(orbit))
+            if reps is not None:
+                return reps
+        return None
+
+    def _coset_search(self, sub: dict, simples: tuple, points: tuple) -> list | None:
+        """Breadth-first search of the cosets W_J x, keyed by x's images of Q.
+
+        Q = ``points`` is a union of W_J-orbits, so a coset of W_J has one
+        image set of Q.  The search over image sets by ``simples`` (the
+        simples of K) gives each key a representative x, reached first,
+        and its depth d.  By Schreier's lemma the stabiliser of Q in W_K is
+        generated by the x s z^-1, over representatives x and simples s,
+        with z the representative of x s's key.  Each is looked up in
+        ``sub``; if all lie in W_J, the stabiliser is W_J, the keys name
+        the cosets, and each x is its coset's shortest element, of length
+        d.  Returns the (x, d) in search order, or None at the first
+        generator outside W_J.
+        """
+        act, pad, identity = self.act, self.pad, self.identity
+        steps = [(s + pad, self.inv(s)) for s in simples]
+        # key -> the padded table of its representative's inverse, built
+        # along the search as (x s)^-1 = s^-1 x^-1
+        back = {frozenset(points): identity + pad}
+        queue = [(identity, 0, identity + pad)]
+        for x, d, x_inv in queue:
+            for table, s_inv in steps:
+                xs = act(x, table)
+                key = frozenset(map(xs.__getitem__, points))
+                z_inv = back.get(key)
+                if z_inv is None:
+                    back[key] = z_inv = act(s_inv, x_inv) + pad
+                    queue.append((xs, d + 1, z_inv))
+                elif act(xs, z_inv) not in sub:
+                    return None
+        return [(x, d) for x, d, _ in queue]
 
     def shortenings(self, x, length: int, among):
         """Pairs (i, t x) over the reflections t = reflections[i] below x.

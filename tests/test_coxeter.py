@@ -24,6 +24,76 @@ def test_enumeration_matches_order():
         assert max(depth.values()) == ct.num_reflections
 
 
+def _poincare_coefficients(degrees) -> list[int]:
+    """Coefficients of the product of 1 + q + ... + q^(d - 1) over the degrees."""
+    coeffs = [1]
+    for d in degrees:
+        out = [0] * (len(coeffs) + d - 1)
+        for i, c in enumerate(coeffs):
+            for j in range(d):
+                out[i + j] += c
+        coeffs = out
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "label",
+    [label for label in TABLE_TYPES if parse_type(label).group_order <= 60_000] + ["A8", "D7"],
+)
+def test_length_counts_match_the_poincare_polynomial(label):
+    # the length generating function of W is the product over the
+    # invariant degrees; nothing here shares code with either search
+    ct = parse_type(label)
+    lengths = coxeter_group(ct).enumerate_group().values()
+    counts = [0] * (ct.num_reflections + 1)
+    for d in lengths:
+        counts[d] += 1
+    assert counts == _poincare_coefficients(ct.degrees)
+
+
+def _b3_with_transposition():
+    # the first simple becomes the plain transposition of points 0 and 1:
+    # the simples generate a group of order 36, not 48
+    group = coxeter_group(parse_type("B3"))
+    group.simples = (group._swapping(((0, 1),)),) + group.simples[1:]
+    return group
+
+
+def _b3_with_a_repeated_simple():
+    # simples 1, 2, 2 generate the dihedral group of order 8
+    group = coxeter_group(parse_type("B3"))
+    group.simples = group.simples[:2] + group.simples[1:2]
+    return group
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (_b3_with_transposition, "no orbit of points that simple 3 moves"),
+        (_b3_with_a_repeated_simple, "the simples generate 8 elements, expected 48"),
+    ],
+    ids=["transposition", "repeated-simple"],
+)
+def test_enumerate_group_refuses_a_model_of_another_group(model, message):
+    with pytest.raises(RuntimeError, match=f"group B3: {message}"):
+        model().enumerate_group()
+
+
+def test_enumerate_group_refuses_colliding_products():
+    # a product map that sends the longest element to the identity makes
+    # two cosets share an element, and the step says so before the count
+    group = coxeter_group(parse_type("B3"))
+    act, w0 = group.act, bytes((i + 3) % 6 for i in range(6))
+
+    def colliding(u, table):
+        v = act(u, table)
+        return group.identity if v == w0 else v
+
+    group.act = colliding
+    with pytest.raises(RuntimeError, match="group B3: the cosets .* overlap"):
+        group.enumerate_group()
+
+
 def test_reflection_basics():
     for name in TABLE_TYPES:
         ct = parse_type(name)
