@@ -29,14 +29,16 @@ ints: a leading 1, then whole bytes per letter (one up to 256 atoms, as
 ``coxeter.BYTE_POINTS``), the first letter highest, so a move adds
 ``(replacement - side) << shift``.  One rule index, keyed by the packed
 last two codes of a side, serves search and closure; a side has two
-atoms at least.
+atoms at least.  ``CLASS_CAP`` bounds the blocks a store holds, about 250
+bytes each, and the words on each side of a search.
 
 On top sit the tools of subword reversing: a right-complement table read
 off the relation sides (:class:`ComplementTable`), reversing on its swap
 pairs (f(x,y), f(y,x)) letter by letter with each one-letter division
 memoised (:func:`reverse_words`), and the cube test (:func:`cube_condition`),
-which files the class id of each side and compares two ids per triple.
-The table may be partial; consumers report reversing that gets stuck.
+which files the class id of each side its triples read, in one pass for
+a full sweep and a sample alike, and compares two ids per triple.  The
+table may be partial; consumers report reversing that gets stuck.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ __all__ = [
 
 Codes = tuple[int, ...]
 
-# limits read at call time: words per congruence class, replacements per reversal
+# limits read at call time: blocks a store holds (about 250 bytes each) and
+# words per side of a search, replacements per reversal
 CLASS_CAP = 500_000
 MAX_REVERSE_STEPS = 1000
 
@@ -74,8 +77,9 @@ class ClassStore:
     letter``, to its class, whose id is larger than D's.  Every prefix of
     a word of a closed class walks to a closed class.  Divisor questions
     close whole classes, and a closure closes those it needs first, on a
-    stack; equality questions search from both words.  A closed class, and
-    each side of a search, holds at most ``CLASS_CAP`` words; past that
+    stack; equality questions search from both words.  The store holds at
+    most ``CLASS_CAP`` blocks, counting those of the class being closed,
+    and each side of a search at most ``CLASS_CAP`` words; past that
     ``RuntimeError`` names the word whose class was asked for, or the word
     the overflowing side of a search started from.
     """
@@ -106,7 +110,6 @@ class ClassStore:
                 rule = (mask, value, delta, side[-3::-1], repl[:-1], repl[-1])
                 self._rules.setdefault(value & pair, []).append(rule)
         self._blocks: list[dict[int, list[int]]] = [{}]
-        self._sizes: list[int] = [1]
         self._step: dict[int, int] = {}
 
     def _pack(self, codes: Codes) -> int:
@@ -129,8 +132,8 @@ class ClassStore:
         Each round expands by one level the side with the smaller frontier,
         u's on a tie, and returns True at the first word that the other side
         has already seen.  A side whose frontier runs out has seen its whole
-        class, which so fits under the cap: that class is closed and False
-        returned.  Each side's seen set holds at most ``CLASS_CAP`` words.
+        class: that class is closed and False returned.  Each side's seen
+        set holds at most ``CLASS_CAP`` words.
         """
         if u == v:
             return True
@@ -173,13 +176,13 @@ class ClassStore:
         classes G with G*s in the class, and each G gives the block (the
         class of G*r_1...r_{L-1}, r_L) of the replacement r.  A generator,
         it yields each block whose class it needs and has not memoised and
-        is sent that class's id.  Past ``CLASS_CAP`` words it raises,
-        naming ``start``.
+        is sent that class's id.  Once the store's blocks and this class's
+        exceed ``CLASS_CAP`` it raises, naming ``start``.
         """
         bits, cap = self._bits, CLASS_CAP
         last = (1 << bits) - 1
-        get, step, blocks, sizes = self._rules.get, self._step, self._blocks, self._sizes
-        seen, frontier, size = {key}, [key], sizes[key >> bits]
+        get, step, blocks = self._rules.get, self._step, self._blocks
+        seen, frontier = {key}, [key]
         while frontier:
             grown = []
             for block in frontier:
@@ -195,10 +198,9 @@ class ClassStore:
                                 g = (yield g << bits | r) if h is None else h
                             nb = g << bits | end
                             if nb not in seen:
-                                size += sizes[g]
                                 seen.add(nb)
                                 grown.append(nb)
-                if size > cap:
+                if len(step) + len(seen) > cap:
                     text = render_word(self.presentation.decode(start))
                     raise RuntimeError(f"congruence class of {text} exceeds cap {cap}")
             frontier = grown
@@ -208,7 +210,6 @@ class ClassStore:
             by_letter.setdefault(block & last, []).append(block >> bits)
         step.update(dict.fromkeys(seen, cid))
         blocks.append(by_letter)
-        sizes.append(size)
         return cid
 
     def _closed(self, key: int, start: Codes) -> int:
@@ -261,7 +262,10 @@ class ClassStore:
 
     def stats(self) -> dict:
         """Classes memoised (the empty word's too), their blocks, their words."""
-        return {"classes": len(self._blocks), "blocks": len(self._step), "words": sum(self._sizes)}
+        words = [1]
+        for by_letter in self._blocks[1:]:
+            words.append(sum(words[d] for below in by_letter.values() for d in below))
+        return {"classes": len(self._blocks), "blocks": len(self._step), "words": sum(words)}
 
     def words_equivalent(self, u, v) -> bool:
         """Exact equality test for two positive words.
@@ -612,19 +616,20 @@ def cube_condition(
     For atoms (a, b, c) the side S(a,b;c) is the word c*comp got by
     right-reversing c^-1 a f(a,b).  Triple (x, y, z) compares S(x,y;z)
     with S(y,z;x); the two words must name the same element, which the
-    congruence oracle decides.  A first pass files each side's class id,
+    congruence oracle decides.  A first pass, one atom a at a time with
+    one division memo, files the class id of each side the triples read,
     or "stuck" or "diverged", in a table indexed by codes; the second
     compares two ids per triple.  As c^-1 a reverses in one step to
-    f(c,a) f(a,c)^-1, one reversal of f(a,c)^-1 f(a,b) to P N^-1, made
-    once per atom a and pair {b, c} with one division memo per a, gives
-    S(a,b;c) = c f(c,a) P and S(a,c;b) = b f(b,a) N when it ends within
-    ``MAX_REVERSE_STEPS`` less the c-step and f(c,a) exists; any other
-    side is reversed on its own, so each status is that of the side alone.
-    A triple whose table entry is missing, or whose reversing gets stuck,
-    is counted separately and proves nothing either way; a diverged side
-    makes its triple diverged.  With ``sample`` set, a seeded sample of
-    that many triples is checked and only their sides are reversed, each
-    on its own; a sample size below one is refused.
+    f(c,a) f(a,c)^-1, one reversal of f(a,c)^-1 f(a,b) to P N^-1 gives
+    S(a,b;c) = c f(c,a) P, and S(a,c;b) = b f(b,a) N if that side is read
+    too, when it ends within ``MAX_REVERSE_STEPS`` less the first step and
+    f(c,a), or f(b,a), exists; any other side is reversed on its own, so
+    each status is that of the side alone.  A triple whose table entry is
+    missing, or whose reversing gets stuck, is counted separately and
+    proves nothing either way; a diverged side makes its triple diverged.
+    With ``sample`` set, a seeded sample of that many triples is checked,
+    by the same two passes over their sides only; a sample size below one
+    is refused.
     """
     if sample is not None and sample < 1:
         raise ValueError(f"cube sample size must be at least 1, got {sample}")
@@ -635,63 +640,57 @@ def cube_condition(
     n = len(presentation.atoms)
     entries, swaps = table._entries, table._swaps
     triples = permutations(range(n), 3)
+    # wanted[a]: each b with an entry f(a,b) -> the letters c whose side
+    # S(a,b;c) the triples read; a sample draws its triples by index
+    if sample is not None and sample < n * (n - 1) * (n - 2):
+        triples = Random(seed).sample(_Triples(n), sample)
+        wanted: list[dict] = [{} for _ in range(n)]
+        for x, y, z in triples:
+            if (x, y) in entries and (y, z) in entries:
+                wanted[x].setdefault(y, set()).add(z)
+                wanted[y].setdefault(z, set()).add(x)
+    else:
+        every = range(n)
+        wanted = [{b: every for b in range(n) if b != a and (a, b) in entries} for a in range(n)]
     # side[a][b][c]: class id of S(a,b;c), its status, or None if not reversed;
-    # the pairs (a, b) with no side reversed share one row, so that a sample
+    # the pairs (a, b) with no side wanted share one row, so that a sample
     # over many atoms fills few of the n^3 slots
     empty: list = [None] * n
     side = [[empty] * n for _ in range(n)]
     memo: dict = {}
-    walk = store._walk
-
-    def reverse_side(a: int, b: int, c: int) -> None:
-        status, comp, _, _ = _reverse(swaps, (c,), (a,) + entries[a, b], memo)
-        row = side[a][b]
-        if row is empty:
-            row = side[a][b] = [None] * n
-        row[c] = walk((c,) + comp) if status == "reversed" else status
-
-    if sample is not None and sample < n * (n - 1) * (n - 2):
-        # the sides of the sampled triples with both entries, one letter c at a time
-        triples = Random(seed).sample(_Triples(n), sample)
-        read: list[set] = [set() for _ in range(n)]
-        for x, y, z in triples:
-            if (x, y) in entries and (y, z) in entries:
-                read[z].add((x, y))
-                read[x].add((y, z))
-        for c, todo in enumerate(read):
-            memo.clear()
-            for a, b in todo:
-                reverse_side(a, b, c)
-    else:
-        # every side with an entry, one letter a at a time, sharing a reversal
-        # of f(a,c)^-1 f(a,b) where it serves; such a side's class is walked on
-        # from that of its start y f(y,a), walked once per a and y
-        cap = MAX_REVERSE_STEPS
-        for a in range(n):
-            memo.clear()
-            heads = [b for b in range(n) if b != a and (a, b) in entries]
-            rows = side[a]
-            for b in heads:
-                rows[b] = [None] * n
-            starts: dict[int, tuple[Codes, int]] = {}
-            for i, b in enumerate(heads):
-                fab = entries[a, b]
-                for c in heads[i + 1 :]:
-                    status, pos, neg, steps = _reverse(swaps, entries[a, c], fab, memo)
-                    for x, y, comp in ((b, c, pos), (c, b, neg)):
-                        swap = swaps.get((y, a))
-                        if status == "reversed" and steps < cap and swap is not None:
-                            start = starts.get(y)
-                            if start is None:
-                                start = (y,) + swap[0]
-                                start = starts[y] = (start, walk(start))
-                            rows[x][y] = walk(comp, start[1], start[0])
-                        else:
-                            reverse_side(a, x, y)
-            for c in range(n):
-                if c != a and (a, c) not in entries:
-                    for b in heads:
-                        reverse_side(a, b, c)
+    walk, cap = store._walk, MAX_REVERSE_STEPS
+    for a, want in enumerate(wanted):
+        memo.clear()
+        rows = side[a]
+        for b in want:
+            rows[b] = [None] * n
+        # a shared side's class is walked on from that of its start y f(y,a),
+        # walked once per a and y
+        starts: dict[int, tuple[Codes, int]] = {}
+        for b, cs in sorted(want.items()):
+            fab, row = entries[a, b], rows[b]
+            for c in cs:
+                if row[c] is not None or c == b or c == a:
+                    continue
+                fac = entries.get((a, c))
+                if fac is None:
+                    todo = ((b, c, None),)
+                else:
+                    status, pos, neg, steps = _reverse(swaps, fac, fab, memo)
+                    if status != "reversed" or steps >= cap:
+                        pos = neg = None
+                    todo = ((b, c, pos), (c, b, neg)) if b in want.get(c, ()) else ((b, c, pos),)
+                for x, y, comp in todo:
+                    swap = swaps.get((y, a))
+                    if comp is not None and swap is not None:
+                        start = starts.get(y)
+                        if start is None:
+                            start = (y,) + swap[0]
+                            start = starts[y] = (start, walk(start))
+                        rows[x][y] = walk(comp, start[1], start[0])
+                    else:
+                        status, comp, _, _ = _reverse(swaps, (y,), (a,) + entries[a, x], memo)
+                        rows[x][y] = walk((y,) + comp) if status == "reversed" else status
     # one id per side: equal ints pass at once, and the tallies stay local
     checked = passed = stuck = diverged = 0
     failures = []

@@ -20,7 +20,8 @@ byte values ``pad``, so a product is one C call that builds no tuple; for
 tuples, pad is empty.  The engines' loops call ``act`` on tables built once.
 ``left_div(u, v)`` is u^-1 v, chosen at the same time: for bytes it is the
 translation table ``bytes.maketrans(u, v)`` cut to the points, again one C
-call, and for tuples ``mul(inv(u), v)``.
+call that also gives ``inv(u)`` as u^-1 times the identity, and for tuples
+``mul(inv(u), v)``, where ``inv`` loops over the points.
 For example, tau(1) of B2 swaps +1 (point 0) with -1 (point 2), and the
 Coxeter element of I2(5) is the rotation i -> i - 1:
 
@@ -136,6 +137,8 @@ class _GroupBase:
         return self.act(u, v + self.pad)
 
     def inv(self, u):
+        if type(u) is bytes:
+            return _byte_left_div(u, self.identity)
         out = [0] * len(u)
         for i, x in enumerate(u):
             out[x] = i

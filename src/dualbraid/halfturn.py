@@ -77,20 +77,6 @@ class HalfturnReport:
         }
 
 
-def _positive_candidates(data) -> dict:
-    """Normal form -> positive word, for words of one or two atoms."""
-    labels = data.atom_labels
-    out = {}
-    for a, ai in labels.items():
-        out[group_normal_form(((ai, 1),), data)] = (a,)
-    for a, ai in labels.items():
-        for b, bi in labels.items():
-            if data.product(ai, bi) is not None:
-                nf = group_normal_form(((ai, 1), (bi, 1)), data)
-                out.setdefault(nf, (a, b))
-    return out
-
-
 def halfturn_fixed_check(n: int) -> HalfturnReport:
     """Verify the shift symmetry and the fixed-submonoid realization of B(n)."""
     report = HalfturnReport(n)
@@ -111,7 +97,6 @@ def halfturn_fixed_check(n: int) -> HalfturnReport:
             report.failures.append(f"shifted relation {rel} fails")
 
     data = dual_garside_data(atype)
-    candidates = _positive_candidates(data)
     # each classical letter of B(n), with its sign, as A(2n-1) simple indices
     b_to_a = {tau(1): (band(n + 1, 1),)}
     b_to_a.update({sigma(i): (band(n + 1 + i, n + i), band(i + 1, i)) for i in range(1, n)})
@@ -124,12 +109,12 @@ def halfturn_fixed_check(n: int) -> HalfturnReport:
     images: dict[Atom, Word] = {}
     for atom in dual_atoms(btype):
         signed = tuple(x for pair in dual_atom_as_classical_word(atom, btype) for x in to_a[pair])
+        # a positive word of one or two atoms: one simple of grade at most 2
         nf = group_normal_form(signed, data)
-        pos = candidates.get(nf)
-        if pos is None:
+        if nf.delta_power or len(nf.factors) != 1 or data.poset.grades[nf.factors[0]] > 2:
             report.failures.append(f"image of {atom} is not a short positive word")
             continue
-        images[atom] = pos
+        images[atom] = data.simple_word(nf.factors[0])
     report.atom_images = images
     if len(images) < len(dual_atoms(btype)):
         return report

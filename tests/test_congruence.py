@@ -89,6 +89,14 @@ def test_count_simples_rewriting_small():
         assert count_simples_rewriting(pres) == expected
 
 
+@pytest.mark.parametrize("label", ["B7", "D7"])
+def test_count_simples_rewriting_past_a_million_words(label):
+    # the Garside word's class represents over a million words, but the
+    # store holds it as far fewer blocks, which is what the cap counts
+    ctype = parse_type(label)
+    assert count_simples_rewriting(dual_presentation(ctype)) == ctype.simples_count
+
+
 def test_left_right_divisor_classes():
     pres, store = _store("B2")
     left = store.left_divisor_classes(pres.garside_word)
@@ -537,6 +545,23 @@ def test_cube_with_a_swapped_entry_matches_reference_cube(label, swap_entry):
         assert report.as_dict()["first_failure"] == first
 
 
+def _cube_reversals(entries, sides):
+    """The ``_reverse`` calls the cube makes to fill ``sides``, a set of
+    (a, b, c) for S(a,b;c): f(a,c)^-1 f(a,b) once for the first side of
+    each pair {S(a,b;c), S(a,c;b)} in sorted order that f(a,c) allows, and
+    c^-1 a f(a,b) for each side that that reversal cannot serve."""
+    shared, alone = Counter(), Counter()
+    for a, b, c in sorted(sides):
+        if (a, c) in entries and not (c < b and (a, c, b) in sides):
+            shared[entries[a, c], entries[a, b]] += 1
+        if (a, c) in entries and (c, a) in entries:
+            status, *_, steps = _reference_reverse(entries, entries[a, c], entries[a, b])
+            if status == "reversed" and steps + 1 <= congruence.MAX_REVERSE_STEPS:
+                continue
+        alone[(c,), (a,) + entries[a, b]] += 1
+    return shared + alone
+
+
 def test_cube_reverses_each_pair_of_complements_once():
     # for each atom a and pair {b, c} with both entries, f(a,c)^-1 f(a,b) is
     # reversed once; a side is reversed on its own, as c^-1 a f(a,b), only
@@ -546,30 +571,24 @@ def test_cube_reverses_each_pair_of_complements_once():
     table = ComplementTable(pres)
     entries = table._entries
     n = len(pres.atoms)
-    shared, alone = Counter(), Counter()
-    for a, b in entries:
-        for c in range(n):
-            if a in (b, c) or b == c:
-                continue
-            if (a, c) in entries and b < c:
-                shared[entries[a, c], entries[a, b]] += 1
-            if (a, c) in entries and (c, a) in entries:
-                status, *_, steps = _reference_reverse(entries, entries[a, c], entries[a, b])
-                if status == "reversed" and steps + 1 <= congruence.MAX_REVERSE_STEPS:
-                    continue
-            alone[(c,), (a,) + entries[a, b]] += 1
+    every = {(a, b, c) for a, b, c in permutations(range(n), 3) if (a, b) in entries}
     with mock.patch.object(congruence, "_reverse", wraps=congruence._reverse) as rev:
         report = cube_condition(pres, table=table)
-    assert Counter(call.args[1:3] for call in rev.call_args_list) == shared + alone
+    assert Counter(call.args[1:3] for call in rev.call_args_list) == _cube_reversals(entries, every)
     # each of the (n - 2) * covered = 3,248 sides was reversed on its own before
     assert (n - 2) * table.stats()["covered"] == 3248
     assert rev.call_count == 1694
     assert report.as_dict()["first_failure"] is None
-    # a sample still reverses each side of its triples on its own
+    # a sample fills the sides of its triples with both entries the same way
+    wanted = set()
+    for x, y, z in Random(7).sample(list(permutations(range(n), 3)), 100):
+        if (x, y) in entries and (y, z) in entries:
+            wanted |= {(x, y, z), (y, z, x)}
     with mock.patch.object(congruence, "_reverse", wraps=congruence._reverse) as rev:
         assert cube_condition(pres, table=table, sample=100, seed=7).checked == 100
-    assert 0 < rev.call_count <= 200
-    assert all(len(call.args[1]) == 1 for call in rev.call_args_list)
+    expected = _cube_reversals(entries, wanted)
+    assert Counter(call.args[1:3] for call in rev.call_args_list) == expected
+    assert 0 < rev.call_count < len(wanted)
 
 
 @pytest.mark.parametrize(
@@ -582,17 +601,24 @@ def test_capped_cube_matches_reference_cube(kind, label):
     for cap in range(9):
         with mock.patch.object(congruence, "MAX_REVERSE_STEPS", cap):
             assert cube_condition(pres) == _reference_cube(pres), cap
+            for seed in (0, 7):
+                expected = _reference_cube(pres, 100, seed)
+                assert cube_condition(pres, sample=100, seed=seed) == expected, (cap, seed)
 
 
 def test_class_cap_is_the_largest_class_allowed():
+    # the cap counts the blocks the store holds, those of the class being
+    # closed included, not the words a class represents
     pres = dual_presentation(parse_type("B3"))
     word = pres.garside_word
-    size = len(ClassStore(pres).class_words(word))
-    assert size > 1
-    with mock.patch.object(congruence, "CLASS_CAP", size):
-        assert len(ClassStore(pres).class_words(word)) == size
-    text = re.escape(f"congruence class of {render_word(word)} exceeds cap {size - 1}")
-    with mock.patch.object(congruence, "CLASS_CAP", size - 1):
+    store = ClassStore(pres)
+    words = store.class_words(word)
+    held = store.stats()["blocks"]
+    assert held > 1
+    with mock.patch.object(congruence, "CLASS_CAP", held):
+        assert ClassStore(pres).class_words(word) == words
+    text = re.escape(f"congruence class of {render_word(word)} exceeds cap {held - 1}")
+    with mock.patch.object(congruence, "CLASS_CAP", held - 1):
         with pytest.raises(RuntimeError, match=text):
             ClassStore(pres).class_words(word)
 

@@ -211,6 +211,20 @@ def test_codec_products_are_mul():
         assert group.left_div(u, v) == group.mul(group.inv(u), v), name
 
 
+def test_inv_is_the_inverse_permutation():
+    # bytes invert in one bytes.maketrans, tuples in a loop over the points;
+    # both send u[i] back to i.  Reflections are involutions, so each is
+    # also tried times the Coxeter element
+    for name, kind in [("E8", bytes), ("I2(256)", bytes), ("I2(257)", tuple)]:
+        group = coxeter_group(parse_type(name))
+        c = group.coxeter_element
+        for u in [el for t in group.simples + group.reflections for el in (t, group.mul(t, c))]:
+            out = [0] * len(u)
+            for i, x in enumerate(u):
+                out[x] = i
+            assert group.inv(u) == kind(out), name
+
+
 def test_left_div_is_inverse_times():
     # the byte models divide with one bytes.maketrans; check it on every
     # pair of A3 and every pair of E8 reflections
