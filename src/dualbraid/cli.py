@@ -29,6 +29,9 @@ TABLE_TYPES = (
     + ["H3", "F4", "H4", "E6", "E7", "E8"]
 )
 
+# the largest group a table cell enumerates to check its order (below E7)
+GROUP_ORDER_LIMIT = 60_000
+
 FORMULA_TEXT = {
     "A": "C(2n+2, n+1)/(n+2)",
     "B": "C(2n, n)",
@@ -284,13 +287,13 @@ def cmd_eq(args) -> int:
     return 0 if equal else 1
 
 
-def _table1_cell(label: str, enumerate_classical_limit: int) -> dict:
+def _table1_cell(label: str) -> dict:
     ctype = parse_type(label)
     t0 = time.monotonic()
     expected = ctype.simples_count
     computed = len(interval.enumerate_interval(ctype))
     order_expected = ctype.group_order
-    if ctype.group_order <= enumerate_classical_limit:
+    if ctype.group_order <= GROUP_ORDER_LIMIT:
         group = coxeter_group(ctype)
         order_computed = len(group.enumerate_group())
     else:
@@ -323,8 +326,7 @@ def cmd_table1(args) -> int:
     ]
     if not labels:
         raise ValueError("no table cell selected: every type is skipped or above --max-rank")
-    limit = 60_000 if args.full else 5_000
-    rows = [_table1_cell(label, limit) for label in labels]
+    rows = [_table1_cell(label) for label in labels]
     ok = all(c["dual_ok"] and c["classical_ok"] for c in rows)
     if args.json:
         print(json.dumps({"rows": rows, "ok": ok}, indent=2, sort_keys=True))

@@ -44,7 +44,7 @@ table may be partial; consumers report reversing that gets stuck.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import permutations
 from random import Random
@@ -551,25 +551,15 @@ def reverse_words(table: ComplementTable, u, v) -> ReversalResult:
     return ReversalResult(status, comp_uv, comp_vu, steps)
 
 
-class _Triples(Sequence):
-    """The triples of ``permutations(range(n), 3)``, in that order, read
-    by index, so that a sample of them does not list them all."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __len__(self) -> int:
-        return self.n * (self.n - 1) * (self.n - 2)
-
-    def __getitem__(self, i: int) -> tuple[int, int, int]:
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        x, rest = divmod(i, (self.n - 1) * (self.n - 2))
-        y, z = divmod(rest, self.n - 2)
-        y += y >= x
-        for skipped in sorted((x, y)):
-            z += z >= skipped
-        return x, y, z
+def _triple(i: int, n: int) -> tuple[int, int, int]:
+    """Triple i of ``permutations(range(n), 3)``, in that order, so that
+    a sample of the triples draws their indices and lists no others."""
+    x, rest = divmod(i, (n - 1) * (n - 2))
+    y, z = divmod(rest, n - 2)
+    y += y >= x
+    for skipped in sorted((x, y)):
+        z += z >= skipped
+    return x, y, z
 
 
 @dataclass
@@ -627,9 +617,9 @@ def cube_condition(
     each status is that of the side alone.  A triple whose table entry is
     missing, or whose reversing gets stuck, is counted separately and
     proves nothing either way; a diverged side makes its triple diverged.
-    With ``sample`` set, a seeded sample of that many triples is checked,
-    by the same two passes over their sides only; a sample size below one
-    is refused.
+    With ``sample`` set, a seeded sample of that many triple indices is
+    decoded by :func:`_triple` and checked by the same two passes over
+    their sides only; a sample size below one is refused.
     """
     if sample is not None and sample < 1:
         raise ValueError(f"cube sample size must be at least 1, got {sample}")
@@ -640,10 +630,11 @@ def cube_condition(
     n = len(presentation.atoms)
     entries, swaps = table._entries, table._swaps
     triples = permutations(range(n), 3)
+    total = n * (n - 1) * (n - 2)
     # wanted[a]: each b with an entry f(a,b) -> the letters c whose side
     # S(a,b;c) the triples read; a sample draws its triples by index
-    if sample is not None and sample < n * (n - 1) * (n - 2):
-        triples = Random(seed).sample(_Triples(n), sample)
+    if sample is not None and sample < total:
+        triples = [_triple(i, n) for i in Random(seed).sample(range(total), sample)]
         wanted: list[dict] = [{} for _ in range(n)]
         for x, y, z in triples:
             if (x, y) in entries and (y, z) in entries:

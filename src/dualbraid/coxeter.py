@@ -42,12 +42,12 @@ fixed space), ``simples`` lists the simple reflections in a fixed order,
 and ``coxeter_element`` is the product of the simples in reversed listed
 order.  That fixed choice matches the image of the dual Garside word under
 the projection that sends each atom to its reflection.
-``shortenings(x, l, among)`` yields the pairs (i, t x) for the reflections
-t = ``reflections[i]``, i in ``among``, with l_T(t x) = l - 1, which is
-all that interval enumeration asks of a model.  It asks only about the
-complements it cannot settle from two parents, c and its lower covers on
-a reflection group, with ``among`` narrowed to the reflections below every
-parent; the model tests each candidate it is given.
+``shortenings(x, l, among)`` returns the int mask of the indices i in
+``among`` whose reflection t = ``reflections[i]`` has l_T(t x) = l - 1,
+which is all that interval enumeration asks of a model.  It asks only
+about the complements it cannot settle from two parents, c and its lower
+covers on a reflection group, with ``among`` narrowed to the reflections
+below every parent; the model tests each candidate it is given.
 
 The group search builds W along the chain of standard parabolic
 subgroups W_J, J the first k simples for k = 0, ..., rank.  The next
@@ -249,19 +249,17 @@ class _GroupBase:
                     return None
         return [(x, d) for x, d, _ in queue]
 
-    def shortenings(self, x, length: int, among):
-        """Pairs (i, t x) over the reflections t = reflections[i] below x.
+    def shortenings(self, x, length: int, among) -> int:
+        """Mask of the indices i with t = reflections[i] below x.
 
         ``length`` is l_T(x), and t lies below x in absolute order when
         l_T(t x) = length - 1; ``t x`` is ``mul(t, x)``.  Only the indices
-        in ``among``, listed in increasing order, are tested, and each one
-        is tested by its reflection length.  Interval enumeration calls
-        this for c and its lower covers only.
+        in ``among`` are tested, and each one is tested by its reflection
+        length.  Interval enumeration calls this for c and its lower
+        covers only.
         """
-        for i in among:
-            tx = self.mul(self.reflections[i], x)
-            if self.refl_length(tx) == length - 1:
-                yield i, tx
+        mul, refl_length, reflections = self.mul, self.refl_length, self.reflections
+        return sum(1 << i for i in among if refl_length(mul(reflections[i], x)) == length - 1)
 
 
 class PermGroup(_GroupBase):
@@ -487,25 +485,21 @@ class RootGroup(_GroupBase):
     def refl_length(self, u) -> int:
         return self.n - len(left_null_basis(self._moved(u)))
 
-    def shortenings(self, x, length: int, among):
-        """Pairs (i, t x) over the reflections t = reflections[i] below x.
+    def shortenings(self, x, length: int, among) -> int:
+        """Mask of the indices i with t = reflections[i] below x.
 
-        Only the indices in ``among``, in increasing order, are tested.  t
-        shortens x exactly when the root of t lies in the moved space
-        im(x - 1), i.e. when every row of the left null space of x - 1
-        annihilates it; this holds at any length, so ``length`` is unused.
-        Interval enumeration calls this for c and its lower covers only,
-        so one left null basis is built per reflection, plus one for c.
+        Only the indices in ``among`` are tested.  t shortens x exactly
+        when the root of t lies in the moved space im(x - 1), i.e. when
+        every row of the left null space of x - 1 annihilates it; this
+        holds at any length, so ``length`` is unused.  Interval
+        enumeration calls this for c and its lower covers only, so one
+        left null basis is built per reflection, plus one for c.
         """
         null = left_null_basis(self._moved(x))
         roots = self._reflection_roots
-        for i in among:
-            root = roots[i]
-            for y in null:
-                if sum(map(operator.mul, y, root)):
-                    break
-            else:
-                yield i, self.mul(self.reflections[i], x)
+        return sum(
+            1 << i for i in among if not any(sum(map(operator.mul, y, roots[i])) for y in null)
+        )
 
     def atom_image(self, atom: Atom):
         raise ValueError(f"type {self.ctype} has no named generators")

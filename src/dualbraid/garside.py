@@ -43,6 +43,9 @@ from .interval import IntervalPoset, LatticeError, enumerate_interval, weak_orde
 from .presentation import Atom, Word, classical_atoms, dual_atoms, render_word
 
 
+_KIND_OF_ORDER = {"absolute": "dual", "weak": "classical"}
+
+
 class GarsideData:
     """Simple-element poset with product, complements, and top conjugation.
 
@@ -50,12 +53,17 @@ class GarsideData:
     right complement and conjugation by the top element are index maps of
     it: rc = lc^-1, delta^-1 x delta = lc(lc(x)) and delta x delta^-1 =
     rc(rc(x)) (Dehornoy and Paris, 1999; Bessis, 2003).
+
+    ``ctype`` and ``kind`` are read from the poset ("dual" on the absolute
+    order, "classical" on the weak order); arguments naming others raise.
     """
 
     def __init__(self, ctype: CoxType, poset: IntervalPoset, kind: str):
-        self.ctype = ctype
+        self.ctype = poset.ctype
+        self.kind = _KIND_OF_ORDER[poset.order_kind]
+        if (ctype, kind) != (self.ctype, self.kind):
+            raise ValueError(f"{kind!r} {ctype} data on a {poset.order_kind} order of {self.ctype}")
         self.poset = poset
-        self.kind = kind
         self.group = poset.group
         self.bottom = poset.bottom
         self.delta = poset.top

@@ -17,15 +17,16 @@ found sets, their common part is exactly the set below x': a reflection
 lies below w exactly when its root lies in Mov(w) = im(w - 1) (Carter,
 1972), Mov is injective on [1, c] (Brady and Watt, 2002), and so
 Mov(x') = Mov(x) & Mov(x''), both sides having dimension l(x').  Such a
-complement needs no test.  The group model's ``shortenings`` hook is asked
-only about the others, the complements whose parents all brought the same
-set: on a reflection group these are c and its lower covers, 1 + N
-complements for N reflections.  A complement is looked up by the images of
-its first max(rank, 2) points, which determine an element in every model,
-and only the current frontier keeps full complements.  Elements are the
-group model's own (byte strings for at most 256 points, image tuples
-beyond), and every product is one ``act`` of the model on a table built
-once per reflection.
+complement needs no test.  The group model's ``shortenings`` hook, which
+returns the int mask of the reflections below a complement, is asked only
+about the others, the complements whose parents all brought the same set:
+on a reflection group these are c and its lower covers, 1 + N complements
+for N reflections.  A complement is looked up by the images of its first
+max(rank, 2) points, which determine an element in every model, and only
+the current frontier keeps full complements.  Elements are the group
+model's own (byte strings for at most 256 points, image tuples beyond),
+and every product is one ``act`` of the model on a table built once per
+reflection.
 
 The poset keeps its Hasse diagram once, as upper covers: ``covers_up[i]``
 holds the indices just above i, and ``cover_edges`` is a read-only view
@@ -255,11 +256,7 @@ def enumerate_interval(ctype: CoxType) -> IntervalPoset:
         nxt_exact: list[bool] = []
         for ui, x, mask, is_exact in zip(frontier, comps, masks, exact):
             u = elements[ui]
-            if is_exact:
-                found = mask
-            else:
-                shorter = group.shortenings(x, n - k, _bits(mask))
-                found = sum(1 << i for i, _ in shorter)
+            found = mask if is_exact else group.shortenings(x, n - k, _bits(mask))
             table = x + pad
             ups: list[int] = []
             for i in _bits(found):

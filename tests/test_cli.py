@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from dualbraid import (
     parse_atom,
     parse_type,
 )
-from dualbraid.cli import TABLE_TYPES, main
+from dualbraid.cli import GROUP_ORDER_LIMIT, TABLE_TYPES, main
 
 
 def run_json(capsys, *argv):
@@ -185,6 +186,26 @@ def test_table1_small(capsys):
     assert rows["I2:7"]["dual_computed"] == 9
     assert all(row["dual_ok"] and row["classical_ok"] for row in data["rows"])
     assert "E7" not in rows and "E8" not in rows
+
+
+def test_table1_checks_every_default_group_order(capsys):
+    # every cell below E7 enumerates its group, --full or not
+    code, data = run_json(capsys, "table1")
+    assert code == 0
+    for row in data["rows"]:
+        assert row["classical_computed"] == row["classical_expected"], row["type"]
+
+
+def test_perfbench_group_order_limit_is_the_cli_constant():
+    # the benchmark copies the limit by hand; read it without importing it
+    source = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    values = [
+        node.value.value
+        for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["BFS_ORDER_LIMIT"]
+    ]
+    assert values == [GROUP_ORDER_LIMIT]
 
 
 def test_usage_errors(capsys):

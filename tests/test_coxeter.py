@@ -4,7 +4,7 @@ import re
 import pytest
 
 from dualbraid import coxeter_group, parse_atom, parse_type, word_image
-from dualbraid.cli import TABLE_TYPES
+from dualbraid.cli import GROUP_ORDER_LIMIT, TABLE_TYPES
 from dualbraid.coxeter import (
     DihedralGroup,
     PermGroup,
@@ -38,7 +38,8 @@ def _poincare_coefficients(degrees) -> list[int]:
 
 @pytest.mark.parametrize(
     "label",
-    [label for label in TABLE_TYPES if parse_type(label).group_order <= 60_000] + ["A8", "D7"],
+    [label for label in TABLE_TYPES if parse_type(label).group_order <= GROUP_ORDER_LIMIT]
+    + ["A8", "D7"],
 )
 def test_length_counts_match_the_poincare_polynomial(label):
     # the length generating function of W is the product over the

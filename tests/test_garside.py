@@ -11,16 +11,19 @@ import pytest
 import dualbraid
 from dualbraid import (
     ClassStore,
+    GarsideData,
     LatticeError,
     NormalForm,
     classical_garside_data,
     dual_garside_data,
     dual_presentation,
+    enumerate_interval,
     equal_in_group,
     group_normal_form,
     normal_form,
     parse_type,
     parse_word,
+    weak_order_poset,
 )
 from dualbraid.cli import TABLE_TYPES
 from dualbraid.coxeter import SignedPermGroup
@@ -135,6 +138,28 @@ def test_classical_engine_b2():
     assert braid.delta_power == 1 and braid.factors == ()
     assert not equal_in_group((s1, t1), (t1, s1), data)
     assert equal_in_group((s1, t1, s1, t1), (t1, s1, t1, s1), data)
+
+
+def test_garside_data_takes_its_type_and_kind_from_the_poset():
+    b2, a2 = parse_type("B2"), parse_type("A2")
+    dual, weak = enumerate_interval(b2), weak_order_poset(b2)
+    # the wrong kind for either order, a misspelt kind, another type
+    for ctype, poset, kind in [
+        (b2, weak, "dual"),
+        (b2, dual, "classical"),
+        (b2, dual, "daul"),
+        (a2, dual, "dual"),
+    ]:
+        with pytest.raises(ValueError):
+            GarsideData(ctype, poset, kind)
+    # the benchmark builds its data with this call
+    data = GarsideData(parse_type("B2"), dual, "dual")
+    assert (data.ctype, data.kind, data.poset) == (b2, "dual", dual)
+    for data, kind, order in [
+        (dual_garside_data(b2), "dual", "absolute"),
+        (classical_garside_data(b2), "classical", "weak"),
+    ]:
+        assert (data.ctype, data.kind, data.poset.order_kind) == (b2, kind, order)
 
 
 def test_delta_conjugation_tables():

@@ -15,7 +15,7 @@ from dualbraid import (
     word_image,
 )
 from dualbraid import coxeter, interval
-from dualbraid.cli import TABLE_TYPES
+from dualbraid.cli import GROUP_ORDER_LIMIT, TABLE_TYPES
 from dualbraid.exact import GoldenInt
 
 
@@ -242,7 +242,7 @@ def test_equal_parent_sets_still_go_to_the_model(monkeypatch):
     target = mul(a, mul(t1, c))
     assert target == mul(b, mul(t2, c))
     for x in (mul(t1, c), mul(t2, c)):
-        assert [i for i, _ in group.shortenings(x, 2, range(4))] == [1, 3]
+        assert group.shortenings(x, 2, range(4)) == 0b1010
     hook = group.shortenings
 
     def shortenings(x, length, among):
@@ -287,7 +287,7 @@ def test_first_images_determine_an_element():
     # images; the elements here come from a search that does not
     for label in TABLE_TYPES:
         ct = parse_type(label)
-        if ct.group_order > 60_000:
+        if ct.group_order > GROUP_ORDER_LIMIT:
             continue
         width = max(ct.rank, 2)
         elements = _full_tuple_search(coxeter_group(ct))
@@ -301,7 +301,7 @@ def test_enumerate_group_matches_full_tuple_search():
     # differs (coset by coset against breadth first), so dicts are compared
     for label in TABLE_TYPES:
         ct = parse_type(label)
-        if ct.group_order > 60_000:
+        if ct.group_order > GROUP_ORDER_LIMIT:
             continue
         group = coxeter_group(ct)
         assert group.enumerate_group() == _full_tuple_search(group), label
