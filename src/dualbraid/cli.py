@@ -6,8 +6,13 @@ is not a lattice, a broken invariant), 2 on usage errors.  A usage error
 is a ``ValueError`` (or ``KeyError``) raised anywhere below :func:`main`,
 which prints it as one ``error:`` line: an unknown type, a word outside
 the alphabet, a sample size below one, a ``table1`` run that selects no
-cell or skips a label that is not a cell.  Every subcommand takes
-``--json`` for machine-readable output.
+cell or skips a label that is not a cell, ``--sample`` or ``--seed`` on a
+check that draws no sample.  Every subcommand takes ``--json`` for
+machine-readable output.
+
+Each subcommand handler returns ``(payload, ok, lines)``; :func:`main`
+alone prints them, the payload as JSON or the lines as text, and turns
+``ok`` into the exit code.
 """
 
 from __future__ import annotations
@@ -51,39 +56,33 @@ def _type_from_tokens(tokens: list[str]) -> CoxType:
     return parse_type("".join(tokens))
 
 
-def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
 def _dual_flavor(ctype: CoxType) -> str:
     """Completion only adds relations for B and D."""
     return "completed" if ctype.series in ("B", "D") else "dual"
 
 
-def cmd_present(args) -> int:
+def cmd_present(args) -> tuple[dict, bool, list[str]]:
     ctype = _type_from_tokens(args.type)
     pres = presentation.presentation_for(ctype, args.flavor)
-    if args.json:
-        print(json.dumps(pres.as_dict(), indent=2, sort_keys=True))
-        return 0
-    print(f"# {args.flavor} presentation of type {ctype}")
-    print(f"atoms ({len(pres.atoms)}): " + " ".join(str(a) for a in pres.atoms))
-    for rel in pres.relations:
-        print(f"  {rel}")
+    lines = [
+        f"# {args.flavor} presentation of type {ctype}",
+        f"atoms ({len(pres.atoms)}): " + " ".join(str(a) for a in pres.atoms),
+    ]
+    lines.extend(f"  {rel}" for rel in pres.relations)
     if pres.garside_word is not None:
-        print(f"garside word: {presentation.render_word(pres.garside_word)}")
+        lines.append(f"garside word: {presentation.render_word(pres.garside_word)}")
     if pres.kind == "completed":
-        print(f"added: {len(pres.added_relations)}  duplicates skipped: {pres.duplicate_count}")
-        for rel in pres.rejected_relations:
-            print(f"rejected (not derivable, suspected transcription issue): {rel}")
-    return 0
+        lines.append(
+            f"added: {len(pres.added_relations)}  duplicates skipped: {pres.duplicate_count}"
+        )
+        lines.extend(
+            f"rejected (not derivable, suspected transcription issue): {rel}"
+            for rel in pres.rejected_relations
+        )
+    return pres.as_dict(), True, lines
 
 
-def cmd_simples(args) -> int:
+def cmd_simples(args) -> tuple[dict, bool, list[str]]:
     ctype = _type_from_tokens(args.type)
     t0 = time.monotonic()
     values: dict[str, int] = {}
@@ -110,14 +109,13 @@ def cmd_simples(args) -> int:
         "agreement": agreed,
         "elapsed_ms": int((time.monotonic() - t0) * 1000),
     }
-    _emit(payload, args.json, [str(count)] if agreed else [f"ENGINE DISAGREEMENT: {values}"])
-    return 0 if agreed else 1
+    return payload, agreed, [str(count)] if agreed else [f"ENGINE DISAGREEMENT: {values}"]
 
 
-def _verify_cube(ctype: CoxType, args) -> tuple[dict, bool, list[str]]:
+def _verify_cube(ctype: CoxType, sample: int | None, seed: int) -> tuple[dict, bool, list[str]]:
     pres = presentation.presentation_for(ctype, _dual_flavor(ctype))
     table = congruence.ComplementTable(pres)
-    report = congruence.cube_condition(pres, table=table, sample=args.sample, seed=args.seed)
+    report = congruence.cube_condition(pres, table=table, sample=sample, seed=seed)
     stats = table.stats()
     payload = {"check": "cube", "type": str(ctype), **report.as_dict(), "table": stats}
     lines = [
@@ -132,10 +130,12 @@ def _verify_cube(ctype: CoxType, args) -> tuple[dict, bool, list[str]]:
     return payload, report.ok, lines
 
 
-def _verify_lattice(ctype: CoxType, args) -> tuple[dict, bool, list[str]]:
+def _verify_lattice(
+    ctype: CoxType, sample: int | None, seed: int
+) -> tuple[dict, bool, list[str]]:
     poset = interval.enumerate_interval(ctype)
-    samples = 10_000 if args.sample is None else args.sample
-    report = interval.verify_lattice(poset, samples=samples, seed=args.seed)
+    samples = 10_000 if sample is None else sample
+    report = interval.verify_lattice(poset, samples=samples, seed=seed)
     payload = report.as_dict()
     lines = [
         f"lattice check on {len(poset)} simples of {ctype}: mode {report.mode}, "
@@ -145,7 +145,7 @@ def _verify_lattice(ctype: CoxType, args) -> tuple[dict, bool, list[str]]:
     return payload, report.ok, lines
 
 
-def _verify_embedding(ctype: CoxType, args) -> tuple[dict, bool, list[str]]:
+def _verify_embedding(ctype: CoxType) -> tuple[dict, bool, list[str]]:
     # one completion serves both directions; it also refuses a type with no
     # explicit presentation before any group work
     completed = presentation.completed_dual_presentation(ctype)
@@ -164,7 +164,7 @@ def _verify_embedding(ctype: CoxType, args) -> tuple[dict, bool, list[str]]:
     return payload, ok, lines
 
 
-def _verify_completion(ctype: CoxType, args) -> tuple[dict, bool, list[str]]:
+def _verify_completion(ctype: CoxType) -> tuple[dict, bool, list[str]]:
     pres = presentation.completed_dual_presentation(ctype)
     ok = not pres.rejected_relations
     payload = {
@@ -185,7 +185,7 @@ def _verify_completion(ctype: CoxType, args) -> tuple[dict, bool, list[str]]:
     return payload, ok, lines
 
 
-def _verify_garside_element(ctype: CoxType, args) -> tuple[dict, bool, list[str]]:
+def _verify_garside_element(ctype: CoxType) -> tuple[dict, bool, list[str]]:
     pres = presentation.presentation_for(ctype, _dual_flavor(ctype))
     word_ok = congruence.is_garside_element(pres)
     group = coxeter_group(ctype)
@@ -208,7 +208,7 @@ def _verify_garside_element(ctype: CoxType, args) -> tuple[dict, bool, list[str]
     return payload, ok, lines
 
 
-def _verify_halfturn(tokens: list[str], args) -> tuple[dict, bool, list[str]]:
+def _verify_halfturn(tokens: list[str]) -> tuple[dict, bool, list[str]]:
     text = "".join(tokens)
     if text.isdigit():
         n = int(text)
@@ -232,21 +232,23 @@ def _verify_halfturn(tokens: list[str], args) -> tuple[dict, bool, list[str]]:
     return payload, report.ok, lines
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, bool, list[str]]:
+    if args.what in ("cube", "lattice"):
+        handler = _verify_cube if args.what == "cube" else _verify_lattice
+        seed = 94111 if args.seed is None else args.seed
+        return handler(_type_from_tokens(args.type), args.sample, seed)
+    if args.sample is not None or args.seed is not None:
+        raise ValueError(
+            f"verify {args.what} draws no sample; --sample and --seed are for cube and lattice"
+        )
     if args.what == "halfturn":
-        payload, ok, lines = _verify_halfturn(args.type, args)
-    else:
-        ctype = _type_from_tokens(args.type)
-        handler = {
-            "cube": _verify_cube,
-            "lattice": _verify_lattice,
-            "embedding": _verify_embedding,
-            "completion": _verify_completion,
-            "garside-element": _verify_garside_element,
-        }[args.what]
-        payload, ok, lines = handler(ctype, args)
-    _emit(payload, args.json, lines)
-    return 0 if ok else 1
+        return _verify_halfturn(args.type)
+    handler = {
+        "embedding": _verify_embedding,
+        "completion": _verify_completion,
+        "garside-element": _verify_garside_element,
+    }[args.what]
+    return handler(_type_from_tokens(args.type))
 
 
 def _nf_data(args) -> tuple[CoxType, garside.GarsideData]:
@@ -259,7 +261,7 @@ def _nf_data(args) -> tuple[CoxType, garside.GarsideData]:
     return ctype, garside.dual_garside_data(ctype)
 
 
-def cmd_nf(args) -> int:
+def cmd_nf(args) -> tuple[dict, bool, list[str]]:
     ctype, data = _nf_data(args)
     word = presentation.parse_word(args.word)
     nf = garside.normal_form(word, data)
@@ -269,11 +271,10 @@ def cmd_nf(args) -> int:
         "normal_form": nf.as_dict(data),
         "rendered": nf.render(data),
     }
-    _emit(payload, args.json, [nf.render(data)])
-    return 0
+    return payload, True, [payload["rendered"]]
 
 
-def cmd_eq(args) -> int:
+def cmd_eq(args) -> tuple[dict, bool, list[str]]:
     ctype, data = _nf_data(args)
     w1 = presentation.parse_word(args.word1)
     w2 = presentation.parse_word(args.word2)
@@ -283,19 +284,18 @@ def cmd_eq(args) -> int:
         "words": [presentation.render_word(w1), presentation.render_word(w2)],
         "equal": equal,
     }
-    _emit(payload, args.json, ["equal" if equal else "distinct"])
-    return 0 if equal else 1
+    return payload, equal, ["equal" if equal else "distinct"]
 
 
 def _table1_cell(label: str) -> dict:
     ctype = parse_type(label)
     t0 = time.monotonic()
     expected = ctype.simples_count
-    computed = len(interval.enumerate_interval(ctype))
+    poset = interval.enumerate_interval(ctype)
+    computed = len(poset)
     order_expected = ctype.group_order
-    if ctype.group_order <= GROUP_ORDER_LIMIT:
-        group = coxeter_group(ctype)
-        order_computed = len(group.enumerate_group())
+    if order_expected <= GROUP_ORDER_LIMIT:
+        order_computed = len(poset.group.enumerate_group())
     else:
         order_computed = None
     return {
@@ -312,7 +312,7 @@ def _table1_cell(label: str) -> dict:
     }
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args) -> tuple[dict, bool, list[str]]:
     skip = {s.strip() for s in (args.skip or "").split(",") if s.strip()}
     unknown = sorted(skip.difference(TABLE_TYPES))
     if unknown:
@@ -328,24 +328,20 @@ def cmd_table1(args) -> int:
         raise ValueError("no table cell selected: every type is skipped or above --max-rank")
     rows = [_table1_cell(label) for label in labels]
     ok = all(c["dual_ok"] and c["classical_ok"] for c in rows)
-    if args.json:
-        print(json.dumps({"rows": rows, "ok": ok}, indent=2, sort_keys=True))
-        return 0 if ok else 1
     head = f"{'type':>6} | {'dual computed':>13} {'expected':>9} {'':2} | {'group order':>11} {'check':>7}"
-    print(head)
-    print("-" * len(head))
+    lines = [head, "-" * len(head)]
     for c in rows:
         dmark = "ok" if c["dual_ok"] else "FAIL"
         if c["classical_computed"] is None:
             cmark = "formula"
         else:
             cmark = "ok" if c["classical_ok"] else "FAIL"
-        print(
+        lines.append(
             f"{c['type']:>6} | {c['dual_computed']:>13} {c['dual_expected']:>9} {dmark:>2} "
             f"| {c['classical_expected']:>11} {cmark:>7}"
         )
-    print(f"all cells pass: {ok}")
-    return 0 if ok else 1
+    lines.append(f"all cells pass: {ok}")
+    return {"rows": rows, "ok": ok}, ok, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,68 +351,65 @@ def build_parser() -> argparse.ArgumentParser:
         "with Garside-structure verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="print the result as JSON")
 
-    p = sub.add_parser("present", help="print a presentation")
+    p = sub.add_parser("present", parents=[common], help="print a presentation")
     p.add_argument("type", nargs="+", help="type token, e.g. B 3, I2:5, H3")
     p.add_argument("--flavor", choices=["dual", "classical", "completed"], default="dual")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_present)
 
-    p = sub.add_parser("simples", help="count simple elements")
+    p = sub.add_parser("simples", parents=[common], help="count simple elements")
     p.add_argument("action", choices=["count"])
     p.add_argument("type", nargs="+")
     p.add_argument(
         "--engine", choices=["interval", "rewriting", "formula", "all"], default="all"
     )
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simples)
 
-    p = sub.add_parser("verify", help="run a structure verification")
+    p = sub.add_parser("verify", parents=[common], help="run a structure verification")
     p.add_argument(
         "what",
         choices=["cube", "lattice", "embedding", "completion", "garside-element", "halfturn"],
     )
     p.add_argument("type", nargs="+")
-    p.add_argument("--sample", type=int, default=None, help="sample size for large sweeps")
-    p.add_argument("--seed", type=int, default=94111)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--sample", type=int, help="sample size for cube and lattice sweeps")
+    p.add_argument("--seed", type=int, help="seed of the cube or lattice sample (default 94111)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("nf", help="left-greedy normal form of a word")
+    p = sub.add_parser("nf", parents=[common], help="left-greedy normal form of a word")
     p.add_argument("type", nargs="+")
     p.add_argument("word")
     p.add_argument("--classical", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_nf)
 
-    p = sub.add_parser("eq", help="decide equality of two words in the group")
+    p = sub.add_parser("eq", parents=[common], help="decide equality of two words in the group")
     p.add_argument("type", nargs="+")
     p.add_argument("word1")
     p.add_argument("word2")
     p.add_argument("--classical", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eq)
 
-    p = sub.add_parser("table1", help="reproduce the simple-element count table")
+    p = sub.add_parser("table1", parents=[common], help="reproduce the simple-element count table")
     p.add_argument("--max-rank", type=int, default=None)
     p.add_argument("--skip", default="")
     p.add_argument("--full", action="store_true", help="include the slow largest types")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table1)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, ok, lines = args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else "\n".join(lines))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -256,6 +256,47 @@ def test_sample_below_one_is_a_usage_error(capsys, argv, size):
     assert f"sample size must be at least 1, got {size}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag", [["--sample", "5"], ["--sample", "0"], ["--seed", "94111"]], ids=" ".join
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "embedding", "B3"],
+        ["verify", "completion", "B3"],
+        ["verify", "garside-element", "B3"],
+        ["verify", "halfturn", "2"],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_sample_or_seed_on_a_check_that_draws_none_is_a_usage_error(capsys, argv, flag):
+    assert main(argv + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: verify {argv[1]} draws no sample; --sample and --seed are for cube and lattice\n"
+    )
+
+
+def test_cube_and_lattice_sample_with_seed_94111_by_default(capsys, monkeypatch):
+    # the library's cube default seed is 0, so the command passes its own
+    seeds = []
+
+    def spy(function):
+        def call(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return function(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(congruence, "cube_condition", spy(congruence.cube_condition))
+    monkeypatch.setattr(interval, "verify_lattice", spy(interval.verify_lattice))
+    assert run_json(capsys, "verify", "cube", "A4", "--sample", "50")[0] == 0
+    assert run_json(capsys, "verify", "lattice", "A6")[0] == 0
+    assert run_json(capsys, "verify", "lattice", "A6", "--seed", "7")[0] == 0
+    assert seeds == [94111, 94111, 7]
+
+
 def test_verify_lattice_sample_default_and_explicit(capsys):
     code, data = run_json(capsys, "verify", "lattice", "A6")
     assert code == 0 and data["mode"] == "sampled" and data["pairs_checked"] == 10_000
@@ -379,3 +420,16 @@ def test_nf_eq_golden(capsys, case):
     if case["argv"][0] == "nf":
         data = {**data, **data.pop("normal_form")}
     assert {key: data[key] for key in case["expected"]} == case["expected"]
+
+
+TEXT_GOLDEN = Path(__file__).with_name("golden_cli_text.json")
+
+
+@pytest.mark.parametrize(
+    "case", json.loads(TEXT_GOLDEN.read_text()), ids=lambda case: " ".join(case["argv"])
+)
+def test_text_output_golden(capsys, case):
+    assert main(case["argv"]) == case["exit"]
+    captured = capsys.readouterr()
+    assert captured.out == case["stdout"]
+    assert captured.err == ""

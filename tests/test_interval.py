@@ -26,6 +26,19 @@ def test_counts_match_closed_forms():
         assert len(poset) == ct.simples_count
 
 
+def test_maximal_chains_count_the_coxeter_factorizations():
+    # a maximal chain of [1, c] is a minimal reflection factorization of c;
+    # count them top down over the Hasse diagram, whose indices grow by grade
+    for label in TABLE_TYPES:
+        ct = parse_type(label)
+        poset = enumerate_interval(ct)
+        chains = [0] * len(poset)
+        chains[poset.top] = 1
+        for i in reversed(range(poset.top)):
+            chains[i] = sum(chains[j] for j in poset.covers_up[i])
+        assert chains[poset.bottom] == ct.coxeter_factorization_count, label
+
+
 def test_poset_shape_invariants():
     for name in ["A3", "B3", "D4", "I2(7)", "H3"]:
         ct = parse_type(name)
