@@ -7,8 +7,9 @@ is a ``ValueError`` (or ``KeyError``) raised anywhere below :func:`main`,
 which prints it as one ``error:`` line: an unknown type, a word outside
 the alphabet, a sample size below one, a ``table1`` run that selects no
 cell or skips a label that is not a cell, ``--sample`` or ``--seed`` on a
-check that draws no sample.  Every subcommand takes ``--json`` for
-machine-readable output.
+check that draws no sample (a lattice check of at most
+``interval.EXHAUSTIVE_LIMIT`` simples is one).  Every subcommand takes
+``--json`` for machine-readable output.
 
 Each subcommand handler returns ``(payload, ok, lines)``; :func:`main`
 alone prints them, the payload as JSON or the lines as text, and turns
@@ -234,9 +235,17 @@ def _verify_halfturn(tokens: list[str]) -> tuple[dict, bool, list[str]]:
 
 def cmd_verify(args) -> tuple[dict, bool, list[str]]:
     if args.what in ("cube", "lattice"):
-        handler = _verify_cube if args.what == "cube" else _verify_lattice
+        ctype = _type_from_tokens(args.type)
         seed = 94111 if args.seed is None else args.seed
-        return handler(_type_from_tokens(args.type), args.sample, seed)
+        if args.what == "cube":
+            return _verify_cube(ctype, args.sample, seed)
+        count, limit = ctype.simples_count, interval.EXHAUSTIVE_LIMIT
+        if count <= limit and (args.sample is not None or args.seed is not None):
+            raise ValueError(
+                f"verify lattice {ctype} draws no sample, it checks every pair of its "
+                f"{count} simples; --sample and --seed are for more than {limit} simples"
+            )
+        return _verify_lattice(ctype, args.sample, seed)
     if args.sample is not None or args.seed is not None:
         raise ValueError(
             f"verify {args.what} draws no sample; --sample and --seed are for cube and lattice"

@@ -24,14 +24,6 @@ the blocks only when asked for:
 >>> store.stats()  # the empty class, four letters, and this class in four blocks
 {'classes': 6, 'blocks': 8, 'words': 9}
 
-From two words the store searches both sides breadth first over packed
-ints: a leading 1, then whole bytes per letter (one up to 256 atoms, as
-``coxeter.BYTE_POINTS``), the first letter highest, so a move adds
-``(replacement - side) << shift``.  One rule index, keyed by the packed
-last two codes of a side, serves search and closure; a side has two
-atoms at least.  ``CLASS_CAP`` bounds the blocks a store holds, about 250
-bytes each, and the words on each side of a search.
-
 On top sit the tools of subword reversing: a right-complement table read
 off the relation sides (:class:`ComplementTable`), reversing on its swap
 pairs (f(x,y), f(y,x)) letter by letter with each one-letter division
@@ -63,8 +55,8 @@ __all__ = [
 
 Codes = tuple[int, ...]
 
-# limits read at call time: blocks a store holds (about 250 bytes each) and
-# words per side of a search, replacements per reversal
+# limits read at call time: blocks a store holds (about 250 bytes each),
+# replacements per reversal
 CLASS_CAP = 500_000
 MAX_REVERSE_STEPS = 1000
 
@@ -75,13 +67,11 @@ class ClassStore:
     Class 0 is the empty word's.  A class is its blocks, letter -> prefix
     class ids, and ``_step`` maps each block, the int ``D << _bits |
     letter``, to its class, whose id is larger than D's.  Every prefix of
-    a word of a closed class walks to a closed class.  Divisor questions
-    close whole classes, and a closure closes those it needs first, on a
-    stack; equality questions search from both words.  The store holds at
-    most ``CLASS_CAP`` blocks, counting those of the class being closed,
-    and each side of a search at most ``CLASS_CAP`` words; past that
-    ``RuntimeError`` names the word whose class was asked for, or the word
-    the overflowing side of a search started from.
+    a word of a closed class walks to a closed class.  Every question,
+    equality included, closes whole classes, and a closure closes those it
+    needs first, on a stack.  The store holds at most ``CLASS_CAP`` blocks,
+    counting those of the class being closed; past that ``RuntimeError``
+    names the word whose class was asked for.
     """
 
     def __init__(self, presentation: Presentation):
@@ -96,27 +86,16 @@ class ClassStore:
         while len(presentation.atoms) > 1 << bits:
             bits += 8
         self._bits = bits
-        # rules keyed by the packed last two codes of their side: for the search
-        # (mask, value, replacement - side), for the closure (the side's other
-        # letters, last first, the replacement but its last letter, that letter)
+        # rules keyed by the last two codes of their side: the side's other
+        # letters, last first, the replacement but its last letter, that letter
         self._rules: dict[int, list[tuple]] = {}
-        pair = (1 << 2 * bits) - 1
         for rel in presentation.relations:
             lhs, rhs = presentation.encode(rel.lhs), presentation.encode(rel.rhs)
             for side, repl in ((lhs, rhs), (rhs, lhs)):
-                mask = (1 << len(side) * bits) - 1
-                value = self._pack(side) & mask  # the side without its 1
-                delta = self._pack(repl) - self._pack(side)
-                rule = (mask, value, delta, side[-3::-1], repl[:-1], repl[-1])
-                self._rules.setdefault(value & pair, []).append(rule)
+                rule = (side[-3::-1], repl[:-1], repl[-1])
+                self._rules.setdefault(side[-2] << bits | side[-1], []).append(rule)
         self._blocks: list[dict[int, list[int]]] = [{}]
         self._step: dict[int, int] = {}
-
-    def _pack(self, codes: Codes) -> int:
-        w, bits = 1, self._bits
-        for c in codes:
-            w = w << bits | c
-        return w
 
     def _unpack(self, w: int) -> Codes:
         bits = self._bits
@@ -125,48 +104,6 @@ class ClassStore:
 
     def _word(self, w: int) -> Word:
         return self.presentation.decode(self._unpack(w))
-
-    def _search(self, u: int, v: int) -> bool:
-        """Breadth-first search from the packed words u and v, of one length.
-
-        Each round expands by one level the side with the smaller frontier,
-        u's on a tie, and returns True at the first word that the other side
-        has already seen.  A side whose frontier runs out has seen its whole
-        class: that class is closed and False returned.  Each side's seen
-        set holds at most ``CLASS_CAP`` words.
-        """
-        if u == v:
-            return True
-        cap, get, bits = CLASS_CAP, self._rules.get, self._bits
-        pair = (1 << 2 * bits) - 1
-        # the shift that brings each adjacent pair of letters to the bottom,
-        # the first pair first; a rule's side then ends there
-        shifts = range(u.bit_length() - 1 - 2 * bits, -1, -bits)
-        sides = [(u, {u}, [u]), (v, {v}, [v])]
-        while True:
-            k = 0 if len(sides[0][2]) <= len(sides[1][2]) else 1
-            other = sides[1 - k][1]
-            start, seen, frontier = sides[k]
-            grown = []
-            for w in frontier:
-                for sh in shifts:
-                    x = w >> sh
-                    for mask, value, delta, _, _, _ in get(x & pair, ()):
-                        if mask != pair and ((x & mask) != value or x <= mask):
-                            continue
-                        nb = w + (delta << sh)
-                        if nb not in seen:
-                            if nb in other:
-                                return True
-                            if len(seen) >= cap:
-                                text = render_word(self._word(start))
-                                raise RuntimeError(f"congruence class of {text} exceeds cap {cap}")
-                            seen.add(nb)
-                            grown.append(nb)
-            if not grown:
-                self._walk(self._unpack(start))
-                return False
-            sides[k] = (start, seen, grown)
 
     def _close(self, key: int, start: Codes):
         """Close the class of the block ``key`` = D << bits | b.
@@ -188,7 +125,7 @@ class ClassStore:
             for block in frontier:
                 b = block & last
                 for c, below in blocks[block >> bits].items():
-                    for _, _, _, down, up, end in get(c << bits | b, ()):
+                    for down, up, end in get(c << bits | b, ()):
                         heads = below
                         for s in down:
                             heads = [g for e in heads for g in blocks[e].get(s, ())]
@@ -243,7 +180,9 @@ class ClassStore:
 
     def _expand(self, ids: Iterable[int], least: bool = False) -> dict[int, list[int]]:
         """Packed words of the classes ids and their prefix classes, filled
-        in id order; with ``least``, only each class's least word."""
+        in id order; with ``least``, only each class's least word.  A packed
+        word is a leading 1, then whole bytes per letter (one up to 256
+        atoms, as ``coxeter.BYTE_POINTS``), the first letter highest."""
         bits, blocks = self._bits, self._blocks
         words = {0: [1]}
         for c in sorted(self._prefix_ids(ids)):
@@ -268,14 +207,11 @@ class ClassStore:
         return {"classes": len(self._blocks), "blocks": len(self._step), "words": sum(words)}
 
     def words_equivalent(self, u, v) -> bool:
-        """Exact equality test for two positive words.
-
-        A word that walks to a closed class answers from the memo, as every
-        word of that class does.  Otherwise the words are searched from both
-        ends at once: True at the first word both sides reach, False once
-        one side has run out, whose class is then closed.  ``CLASS_CAP``
-        bounds each side's seen set, and the ``RuntimeError`` names the
-        start word of the side that overflowed.
+        """Exact equality test for two positive words: u's class is closed,
+        and v is in it when v walks to it.  Every word of a closed class
+        walks to it through closed prefix classes, so a walk of v that
+        stops at an unclosed class answers False.  Past ``CLASS_CAP`` the
+        ``RuntimeError`` names u.
 
         >>> from .coxtypes import parse_type
         >>> from .presentation import dual_presentation, parse_word
@@ -289,19 +225,13 @@ class ClassStore:
         u, v = encode(u), encode(v)
         if len(u) != len(v):
             return False
-        for a, b in ((u, v), (v, u)):
-            cid = self._walk(a, close=False)
-            if cid is not None:
-                return self._walk(b, close=False) == cid
-        return self._search(self._pack(u), self._pack(v))
+        cid = self._walk(u)
+        return self._walk(v, close=False) == cid
 
     def derivable(self, relation: Relation) -> bool:
-        """Whether the relation's sides are equal words, by ``words_equivalent``.
-
-        The search stops where the two sides meet, so a relation whose
-        sides meet before either side holds ``CLASS_CAP`` words is derivable
-        even when their class is larger; a side that overflows first raises.
-        """
+        """Whether the relation's sides are equal words, by ``words_equivalent``:
+        the class of the left side is closed, so past ``CLASS_CAP`` blocks it
+        raises, naming that side."""
         return self.words_equivalent(relation.lhs, relation.rhs)
 
     def _prefix_ids(self, ids: Iterable[int]) -> set[int]:

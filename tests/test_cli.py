@@ -278,6 +278,25 @@ def test_sample_or_seed_on_a_check_that_draws_none_is_a_usage_error(capsys, argv
     )
 
 
+@pytest.mark.parametrize("flag", [["--sample", "5"], ["--seed", "3"]], ids=" ".join)
+def test_sample_or_seed_on_an_exhaustive_lattice_check_is_a_usage_error(
+    capsys, monkeypatch, flag
+):
+    # B3 has 20 simples, so every pair is checked; the flags are refused
+    # before the interval is enumerated
+    def refuse(ctype):
+        raise AssertionError(f"enumerated the interval of {ctype}")
+
+    monkeypatch.setattr(interval, "enumerate_interval", refuse)
+    assert main(["verify", "lattice", "B3"] + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: verify lattice B3 draws no sample, it checks every pair of its 20 simples; "
+        "--sample and --seed are for more than 300 simples\n"
+    )
+
+
 def test_cube_and_lattice_sample_with_seed_94111_by_default(capsys, monkeypatch):
     # the library's cube default seed is 0, so the command passes its own
     seeds = []

@@ -435,8 +435,8 @@ def test_class_words_match_first_code_closure(case):
 
 @pytest.mark.parametrize("kind,label", [("dual", "A4"), ("completed", "B3"), ("completed", "D4")])
 def test_divisors_after_failed_searches(kind, label):
-    # a failed equality search closes the class of the side that ran out
-    # block by block, so that class comes with its prefix classes memoised
+    # an unequal answer closes the first word's class block by block, so
+    # that class comes with its prefix classes memoised
     pres = PRESENTATIONS[kind](parse_type(label))
     garside = pres.garside_word
     prefix = pres.encode(garside)[:-1]
@@ -452,12 +452,12 @@ def test_divisors_after_failed_searches(kind, label):
         ):
             break
     else:
-        pytest.fail("no search closed the class of the Garside word's prefix")
-    searched = _memoised_class(store, prefix)
-    assert all(_memoised_class(store, w[:-1]) is not None for w in searched)
+        pytest.fail("no unequal answer closed the class of the Garside word's prefix")
+    closed = _memoised_class(store, prefix)
+    assert all(_memoised_class(store, w[:-1]) is not None for w in closed)
     assert store.left_divisor_classes(garside) == _reference_divisors(pres, garside, left=True)
     assert store.right_divisor_classes(garside) == _reference_divisors(pres, garside, left=False)
-    _assert_prefixes_memoised(store, pres, searched)
+    _assert_prefixes_memoised(store, pres, closed)
 
 
 def test_long_word_closes_without_deep_recursion():
@@ -626,20 +626,17 @@ def test_class_cap_is_the_largest_class_allowed():
 SEARCH_CASES = [("completed", "B4"), ("completed", "D5"), ("dual", "A4")]
 
 
-def _closure_equivalent(store, u, v):
-    """Reference equality: close u's class and look v up in it."""
-    return len(u) == len(v) and v in store.class_words(u)
-
-
 @pytest.mark.parametrize("kind,label", SEARCH_CASES)
-def test_search_agrees_with_closure(kind, label):
+def test_words_equivalent_agrees_with_reference_closure(kind, label):
+    # every pair is drawn and judged by the first-code closure, which shares
+    # no code with the store
     pres = _store(label, kind)[0]
-    closure = ClassStore(pres)
+    rules = _reference_rules(pres)
     rng = Random(19)
     atoms = range(len(pres.atoms))
 
     def class_of(word):
-        return sorted(pres.encode(w) for w in closure.class_words(pres.decode(word)))
+        return sorted(_reference_closure(rules, word))
 
     met = 0
     for _ in range(60):
@@ -654,22 +651,18 @@ def test_search_agrees_with_closure(kind, label):
         met += equal[0] != equal[1]
         for (u, v), expected in ((equal, True), (unequal, False)):
             u_word, v_word = pres.decode(u), pres.decode(v)
-            assert _closure_equivalent(closure, u_word, v_word) == expected
+            assert (v_word in _reference_class(pres, u_word)) == expected
             store = ClassStore(pres)
             assert store.words_equivalent(u_word, v_word) == expected
-            if expected:
-                continue
-            # the side that ran out closed its class, and the memo answers for it
-            closed = [w for w in (u, v) if _memoised_class(store, w) is not None]
-            assert closed
-            for w in closed:
-                assert _memoised_class(store, w) == _memoised_class(closure, w)
-                with mock.patch.object(store, "_search", side_effect=AssertionError(w)):
-                    assert store.class_words(pres.decode(w)) == closure.class_words(pres.decode(w))
+            if not expected:
+                # an unequal answer closes u's class, and the memo holds it
+                assert _memoised_class(store, u) == _reference_closure(rules, u)
     assert met > 20
 
 
-def test_class_cap_bounds_each_side_of_the_search():
+def test_class_cap_counts_blocks_for_equality_too():
+    # equality closes the first word's class, so a class over the cap raises
+    # however early its words would have met
     pres = dual_presentation(parse_type("B3"))
     rel = pres.relations[0]
     garside = pres.garside_word
@@ -678,25 +671,18 @@ def test_class_cap_bounds_each_side_of_the_search():
     assert len(store.class_words(rel.lhs)) == 4
     assert (len(store.class_words(small)), len(store.class_words(garside))) == (7, 27)
     assert not store.words_equivalent(small, garside)
+
+    def named(word):
+        return re.escape(f"congruence class of {render_word(word)} exceeds cap 3")
+
     with mock.patch.object(congruence, "CLASS_CAP", 3):
-        # the two sides meet at the first move, before either reaches the cap
-        assert ClassStore(pres).words_equivalent(rel.lhs, rel.rhs)
-        assert ClassStore(pres).derivable(rel)
+        with pytest.raises(RuntimeError, match=named(rel.lhs)):
+            ClassStore(pres).derivable(rel)
+        for u, v in ((small, garside), (garside, small)):
+            with pytest.raises(RuntimeError, match=named(u)):
+                ClassStore(pres).words_equivalent(u, v)
         with pytest.raises(RuntimeError, match="exceeds cap 3"):
             ClassStore(pres).class_words(garside)
-
-    def named(word, cap):
-        return re.escape(f"congruence class of {render_word(word)} exceeds cap {cap}")
-
-    # both classes exceed the cap; the error names the side that overflowed
-    with mock.patch.object(congruence, "CLASS_CAP", 1):
-        with pytest.raises(RuntimeError, match=named(small, 1)):
-            ClassStore(pres).words_equivalent(small, garside)
-    with mock.patch.object(congruence, "CLASS_CAP", 6):
-        # the Garside word's side is the first to need a seventh word
-        for u, v in ((small, garside), (garside, small)):
-            with pytest.raises(RuntimeError, match=named(garside, 6)):
-                ClassStore(pres).words_equivalent(u, v)
 
 
 def _three_letter_presentation(atom_count):
@@ -717,10 +703,9 @@ def _three_letter_presentation(atom_count):
 
 @pytest.mark.parametrize("atom_count", [3, 257])
 def test_long_sides_fire_only_inside_the_word(atom_count):
-    # a packed word has a leading 1 above its first letter and nothing below
-    # its last: a side of three letters whose first pair ends a word must not
-    # read past the end, and one whose last pair starts a word must not read
-    # the leading 1 as code 1
+    # a side fires only where all its letters lie in the word: a side of
+    # three letters whose last pair starts a word finds no letter before it,
+    # and one whose first pair ends a word has no last letter to close on
     pres = _three_letter_presentation(atom_count)
     store = ClassStore(pres)
     assert store._bits == (8 if atom_count <= 256 else 16)
