@@ -66,10 +66,11 @@ of the image of +k in B(n) and D(n), a dihedral symmetry is fixed by
 where it sends two adjacent vertices, and the first rank roots of H/F/E
 are the simple roots, a basis.
 
-The root model builds its roots exactly, over Z or over the golden ring
-Z[phi] for H3 and H4, and answers its two rank questions, the reflection
-length and the moved-space test behind its ``shortenings``, from one left
-null basis of x - 1.
+The root model builds its roots exactly over Z, H3 and H4 included,
+whose roots in the golden ring Z[phi] it holds by their 2n integer
+coordinates in the Z-basis alpha_i, phi alpha_i.  It answers its two rank
+questions, the reflection length and the moved-space test behind its
+``shortenings``, from one left null basis of x - 1 in those coordinates.
 """
 
 from __future__ import annotations
@@ -396,7 +397,12 @@ _E_EDGES = {
 }
 
 
-def _cartan_matrix(ctype: CoxType):
+def _cartan_matrix(ctype: CoxType) -> tuple[tuple[int, ...], ...]:
+    """The Cartan matrix over Z, of size 2n on H3 and H4.
+
+    An H entry p + q phi acts on the Z-basis (alpha_i, phi alpha_i) by
+    (p + q phi)(a + b phi) = (pa + qb) + (qa + (p + q)b) phi.
+    """
     n = ctype.rank
     if ctype.series == "F":
         return _F4_CARTAN
@@ -405,29 +411,34 @@ def _cartan_matrix(ctype: CoxType):
         for i, j in _E_EDGES[n]:
             rows[i - 1][j - 1] = rows[j - 1][i - 1] = -1
         return tuple(tuple(r) for r in rows)
-    # H3, H4: off-diagonal -2cos(pi/m): 0, -1 or -phi, over Z[phi]
-    zero, one, phi = GoldenInt(0, 0), GoldenInt(1, 0), GoldenInt(0, 1)
-    bonds = {3: {(1, 2): phi, (2, 3): one}, 4: {(1, 2): phi, (2, 3): one, (3, 4): one}}[n]
-    rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = one + one
-    for (i, j), val in bonds.items():
-        rows[i - 1][j - 1] = rows[j - 1][i - 1] = -val
-    return tuple(tuple(r) for r in rows)
+    # H3, H4: 2 on the diagonal, -phi on the bond 5 of nodes 1 and 2, -1 on
+    # the bonds 3; p + q phi becomes the block ((p, q), (q, p + q))
+    entries = {(i, i): (2, 0) for i in range(n)}
+    for i in range(n - 1):
+        entries[i, i + 1] = entries[i + 1, i] = (0, -1) if i == 0 else (-1, 0)
+    rows = [[0] * 2 * n for _ in range(2 * n)]
+    for (i, j), (p, q) in entries.items():
+        rows[i][j], rows[i][j + n], rows[i + n][j], rows[i + n][j + n] = p, q, q, p + q
+    return tuple(map(tuple, rows))
 
 
 class RootGroup(_GroupBase):
     """An exceptional type as permutations of its root system.
 
-    The roots are built once, exactly, in the simple-root basis over Z or
-    Z[phi]: the orbit of the simple roots under the simple reflections,
-    which is closed under negation.  The first ``rank`` roots are the
-    simple roots.  An element w has p[r] the index of w(root r): the
-    roots are the point set of this model.
+    The roots are built once, exactly, over Z: the orbit of the simple
+    roots under the simple reflections, which is closed under negation.
+    A root holds its coordinates in the simple roots, on H3 and H4 the 2n
+    of the Z-basis alpha_1..alpha_n, phi alpha_1..phi alpha_n, and
+    ``roots`` reads them as tuples over Z or Z[phi] (:class:`GoldenInt`).
+    The first ``rank`` roots are the simple roots.  An element w has p[r]
+    the index of w(root r): the roots are the point set of this model.
     There is one reflection per +- root pair, the conjugate of a simple
     reflection along the path that reached its root.
-    Both rank questions go through one left null basis of w - 1: l_T(w)
-    = codim Fix(w) is n minus its size, and its rows cut out im(w - 1).
+    Both rank questions go through one left null basis of w - 1 over Q in
+    these coordinates, whose rows cut out im(w - 1).  On H, w - 1 is
+    Q(phi)-linear, so its image over Q is its image over Q(phi) and each
+    dimension of Fix(w) gives two rows: l_T(w) is n - k/2 for k rows,
+    and n - k elsewhere.
     """
 
     def __init__(self, ctype: CoxType):
@@ -436,19 +447,24 @@ class RootGroup(_GroupBase):
         self.ctype = ctype
         self.n = n = ctype.rank
         cartan = _cartan_matrix(ctype)
-        one = GoldenInt(1, 0) if ctype.series == "H" else 1
-        zero = one - one
-        # s_j(v) = v - (sum_i v_i cartan[i][j]) e_j on coordinate vectors
-        roots = [tuple(one if i == j else zero for i in range(n)) for j in range(n)]
+        self._dim = dim = len(cartan)
+        # s_j(v) = v - (sum_i v_i cartan[i][j]) e_j on coordinate vectors,
+        # on coordinates j and j + n of H at once
+        moves = [
+            [(c, [row[c] for row in cartan]) for c in range(j, dim, n)] for j in range(n)
+        ]
+        roots = [tuple(int(i == j) for i in range(dim)) for j in range(n)]
         index = {root: r for r, root in enumerate(roots)}
         images: list[list[int]] = [[] for _ in range(n)]
         parent: list[tuple[int, int] | None] = [None] * n
         r = 0
         while r < len(roots):
             root = roots[r]
-            for j in range(n):
-                shift = sum((root[i] * cartan[i][j] for i in range(n)), start=zero)
-                image = root[:j] + (root[j] - shift,) + root[j + 1:]
+            for j, move in enumerate(moves):
+                image = list(root)
+                for c, col in move:
+                    image[c] -= sum(map(operator.mul, root, col))
+                image = tuple(image)
                 k = index.get(image)
                 if k is None:
                     k = index[image] = len(roots)
@@ -460,7 +476,7 @@ class RootGroup(_GroupBase):
             raise RuntimeError(
                 f"{ctype}: found {len(roots)} roots, expected {2 * ctype.num_reflections}"
             )
-        self.roots = tuple(roots)
+        self._roots = roots
         self._use_points(len(roots))
         self.simples = tuple(map(self._element, images))
         # s_{s_j(a)} = s_j s_a s_j; keep the first root of each +- pair
@@ -474,16 +490,24 @@ class RootGroup(_GroupBase):
         self.reflections = tuple(by_root[r] for r in kept)
         self._reflection_roots = tuple(roots[r] for r in kept)
 
-    def _moved(self, u) -> list[list]:
-        """M - I, where column j of M holds the coordinates of u(alpha_j)."""
-        cols = [self.roots[k] for k in u[: self.n]]
-        return [
-            [col[i] - 1 if i == j else col[i] for j, col in enumerate(cols)]
-            for i in range(self.n)
-        ]
+    @cached_property
+    def roots(self) -> tuple[tuple, ...]:
+        """The roots in the simple-root basis, over Z or, on H, Z[phi]."""
+        n, golden = self.n, self._dim > self.n
+        return tuple(tuple(map(GoldenInt, r[:n], r[n:])) if golden else r for r in self._roots)
+
+    def _moved(self, u) -> list[list[int]]:
+        """w - 1 over Z: column j is w(e_j) - e_j for coordinate vector e_j."""
+        roots, n = self._roots, self.n
+        cols = [roots[k] for k in u[:n]]
+        if self._dim != n:
+            # w(phi alpha_j) = phi w(alpha_j), and phi (a + b phi) = b + (a + b) phi
+            cols += [col[n:] + tuple(map(operator.add, col[:n], col[n:])) for col in cols]
+        return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(zip(*cols))]
 
     def refl_length(self, u) -> int:
-        return self.n - len(left_null_basis(self._moved(u)))
+        # dim / n null rows per dimension of Fix(w)
+        return (self._dim - len(left_null_basis(self._moved(u)))) * self.n // self._dim
 
     def shortenings(self, x, length: int, among) -> int:
         """Mask of the indices i with t = reflections[i] below x.
@@ -495,11 +519,11 @@ class RootGroup(_GroupBase):
         enumeration calls this for c and its lower covers only, so one
         left null basis is built per reflection, plus one for c.
         """
-        null = left_null_basis(self._moved(x))
         roots = self._reflection_roots
-        return sum(
-            1 << i for i in among if not any(sum(map(operator.mul, y, roots[i])) for y in null)
-        )
+        kept = list(among)
+        for y in left_null_basis(self._moved(x)):
+            kept = [i for i in kept if not sum(map(operator.mul, y, roots[i]))]
+        return sum(1 << i for i in kept)
 
     def atom_image(self, atom: Atom):
         raise ValueError(f"type {self.ctype} has no named generators")

@@ -1,10 +1,12 @@
 """Exact arithmetic for the root systems of the exceptional types.
 
-Crystallographic types work over the integers.  The types H3 and H4 need
-the golden ring Z[phi] with phi^2 = phi + 1, implemented here as
-:class:`GoldenInt`.  Left null spaces of integer or golden matrices are
-computed by cross-multiplication elimination, which needs no exact
-division; the root model answers both its rank questions from one.
+The root model works over the integers for every type.  The roots of H3
+and H4 lie in the golden ring Z[phi] with phi^2 = phi + 1, implemented
+here as :class:`GoldenInt`; the model holds a coordinate a + b phi as the
+integers a and b and reports its roots in Z[phi].  Left null spaces of
+integer or golden matrices are computed by cross-multiplication
+elimination, which needs no exact division; the root model answers both
+its rank questions from one, over Z.
 """
 
 from __future__ import annotations
@@ -59,13 +61,6 @@ class GoldenInt:
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
-
-    def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*phi"
-        return f"{self.a}{self.b:+d}*phi"
 
 
 def _reduce_int_vector(vec: list) -> list:

@@ -35,12 +35,12 @@ building any.  Meets and joins take and return element indices
 (``poset.index`` maps an element to its index).  They read int bitsets
 built once from the covers: bit i of ``down_masks[j]`` and bit top - j of
 ``up_masks[i]`` are set when i lies below j, so each mask spans only the
-part of the order on its own side; the lower covers that the down masks
-need are built for them and dropped.  The lattice check first certifies
-that the complement maps send covers to covers, then compares meets and
-joins with their complement route, over every pair of a poset of at most
-``EXHAUSTIVE_LIMIT`` elements and over a seeded sample of pairs of a
-larger one.
+part of the order on its own side; each down mask is pushed up along the
+upper covers, so no lower covers are built.  The lattice check first
+certifies that the complement maps send covers to covers, then compares
+meets and joins, taken on the masks, with their complement route, over
+every pair of a poset of at most ``EXHAUSTIVE_LIMIT`` elements and over a
+seeded sample of pairs of a larger one.
 """
 
 from __future__ import annotations
@@ -155,17 +155,15 @@ class IntervalPoset:
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
         """Bit i of down_masks[j] is set iff element i divides element j."""
-        # the lower covers live only while the masks are built
-        downs: list[list[int]] = [[] for _ in range(len(self))]
-        for lo, ups in enumerate(self.covers_up):
+        # covers join adjacent grades and the order is grade-monotone, so a
+        # cover has a smaller index than its upper covers: each mask is
+        # whole when the loop reads it, and is pushed up to its covers.
+        # Every mask starts at its full length, so each OR replaces an int
+        # by one of the same size, which keeps the heap from fragmenting
+        masks = [1 << i for i in range(len(self))]
+        for m, ups in zip(masks, self.covers_up):
             for hi in ups:
-                downs[hi].append(lo)
-        masks = [0] * len(self)
-        for i in range(len(self)):
-            m = 1 << i
-            for p in downs[i]:
-                m |= masks[p]
-            masks[i] = m
+                masks[hi] |= m
         return tuple(masks)
 
     @cached_property
@@ -352,34 +350,61 @@ class LatticeReport:
         }
 
 
-def _check_pair(poset: IntervalPoset, i: int, j: int, violations: list) -> None:
+def _failure(bound, i: int, j: int) -> str:
+    """The message with which ``meet_index`` or ``join_index`` fails on i, j."""
     try:
-        m = poset.meet_index(i, j)
+        bound(i, j)
     except LatticeError as exc:
-        violations.append((i, j, "meet", str(exc)))
-        m = None
-    try:
-        jn = poset.join_index(i, j)
-    except LatticeError as exc:
-        violations.append((i, j, "join", str(exc)))
-        jn = None
-    # meet_index picks m from bits of down_masks[i] & down_masks[j], the
-    # very bits le(m, i) and le(m, j) read, so a meet needs no such check;
-    # a join comes from the up masks, and le reads the down masks
-    if jn is not None and not (poset.le(i, jn) and poset.le(j, jn)):
-        violations.append((i, j, "join", "result is not an upper bound"))
+        return str(exc)
+    raise AssertionError(f"{bound.__name__}({i}, {j}) found a bound the masks did not")
+
+
+def _check_pairs(poset: IntervalPoset, pairs, violations: list) -> int:
+    """Check pairs until more than 20 violations; returns the pairs checked.
+
+    The meets and joins are those of ``meet_index`` and ``join_index``,
+    taken here on the masks; the methods run only to word a failure.
+    """
+    down, up, top, komp = poset.down_masks, poset.up_masks, poset.top, poset.komp
     # in absolute order divisibility is two-sided, so the complement map is
     # an anti-automorphism and must swap the two bounds; in the one-sided
     # prefix order it maps to the opposite-side order instead, so skip
-    if poset.order_kind == "absolute" and m is not None and jn is not None:
-        ki, kj = poset.komp[i], poset.komp[j]
-        try:
-            if poset.komp_inv[poset.meet_index(ki, kj)] != jn:
-                violations.append((i, j, "join", "complement route disagrees"))
-            if poset.komp_inv[poset.join_index(ki, kj)] != m:
-                violations.append((i, j, "meet", "complement route disagrees"))
-        except LatticeError as exc:
-            violations.append((i, j, "complement", str(exc)))
+    komp_inv = poset.komp_inv if poset.order_kind == "absolute" else None
+    checked = 0
+    for i, j in pairs:
+        checked += 1
+        cand = down[i] & down[j]
+        m = cand.bit_length() - 1
+        if not cand or cand & down[m] != cand:
+            violations.append((i, j, "meet", _failure(poset.meet_index, i, j)))
+            m = None
+        cand = up[i] & up[j]
+        jn = top + 1 - cand.bit_length()
+        if not cand or cand & up[jn] != cand:
+            violations.append((i, j, "join", _failure(poset.join_index, i, j)))
+            jn = None
+        # m is a bit of down[i] & down[j], so a meet needs no such test; a
+        # join comes from the up masks, and this reads the down masks
+        elif not (down[jn] >> i & 1 and down[jn] >> j & 1):
+            violations.append((i, j, "join", "result is not an upper bound"))
+        if komp_inv is not None and m is not None and jn is not None:
+            ki, kj = komp[i], komp[j]
+            cand = down[ki] & down[kj]
+            mk = cand.bit_length() - 1
+            if not cand or cand & down[mk] != cand:
+                violations.append((i, j, "complement", _failure(poset.meet_index, ki, kj)))
+            else:
+                if komp_inv[mk] != jn:
+                    violations.append((i, j, "join", "complement route disagrees"))
+                cand = up[ki] & up[kj]
+                jk = top + 1 - cand.bit_length()
+                if not cand or cand & up[jk] != cand:
+                    violations.append((i, j, "complement", _failure(poset.join_index, ki, kj)))
+                elif komp_inv[jk] != m:
+                    violations.append((i, j, "meet", "complement route disagrees"))
+        if len(violations) > 20:
+            break
+    return checked
 
 
 def _komp_reverses_covers(komp, ups) -> bool:
@@ -432,12 +457,7 @@ def verify_lattice(
         mode = "sampled"
         rng = random.Random(seed)
         pair_iter = ((rng.randrange(size), rng.randrange(size)) for _ in range(samples))
-    pairs = 0
-    for i, j in pair_iter:
-        _check_pair(poset, i, j, violations)
-        pairs += 1
-        if len(violations) > 20:
-            break
+    pairs = _check_pairs(poset, pair_iter, violations)
     return LatticeReport(
         ctype=poset.ctype,
         size=size,

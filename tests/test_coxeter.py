@@ -198,6 +198,37 @@ def test_root_model_refl_length_is_rank_of_moved_space(exact_rank):
             assert group.refl_length(u) == exact_rank(diff), (name, tuple(u))
 
 
+@pytest.mark.parametrize("name", ["H3", "H4", "F4", "E6"])
+def test_root_model_shortenings_match_their_definition(name, exact_rank):
+    # bit i is set exactly when rank(t_i x - 1) = rank(x - 1) - 1, with the
+    # ranks taken by the suite's own oracle on matrices of the roots in the
+    # simple-root basis; x runs over c, its lower covers t c and 50 seeded
+    # products of reflections
+    group = RootGroup(parse_type(name))
+    n, refs, mul = group.n, group.reflections, group.mul
+
+    def rank(u):
+        cols = [group.roots[k] for k in u[:n]]
+        return exact_rank([[cols[j][i] - (i == j) for j in range(n)] for i in range(n)])
+
+    c = group.coxeter_element
+    covers = [mul(t, c) for t in refs]
+    assert all(rank(x) == n - 1 for x in covers)
+    sample = [c, *covers]
+    rng = random.Random(2001)
+    for _ in range(50):
+        u = group.identity
+        for t in rng.choices(refs, k=rng.randint(1, n + 1)):
+            u = mul(u, t)
+        sample.append(u)
+    evens = sum(1 << i for i in range(0, len(refs), 2))
+    for x in sample:
+        length = rank(x)
+        expected = sum(1 << i for i, t in enumerate(refs) if rank(mul(t, x)) == length - 1)
+        assert group.shortenings(x, length, range(len(refs))) == expected, (name, tuple(x))
+        assert group.shortenings(x, length, range(0, len(refs), 2)) == expected & evens
+
+
 def test_codec_products_are_mul():
     # byte strings while every point index fits in a byte, tuples beyond;
     # either way mul composes the images with its left factor first

@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -150,6 +152,26 @@ def test_interval_matches_its_definition(exact_rank):
         assert set(mats) == kept
         assert {(mats[a], mats[b]) for a, b in poset.cover_edges} == covers
         assert len(poset.cover_edges) == len(covers)
+
+
+# sha256 of repr((elements, grades, covers_up, komp)): element byte strings,
+# indices, covers and complements all follow the order of the root orbit,
+# so a model that lists its roots in another order changes them
+_INTERVAL_SHA256 = {
+    "H3": "7795728a89f10a798bd24680a72e925d6479eb5ffc2475cff827062a05baf494",
+    "H4": "f36b8594e4523ac68c2314aa293bf2dcb9dfb3f9845df0d42ff149826282da3c",
+    "F4": "37503051b5b235d83291ecef78f5a1365555f94c246c7e9d0fdc522cb209f65d",
+    "E6": "3645a3a757557792bbfe1b5533f015808533a22750f70066ad60f5960aa8cf0f",
+    "E7": "1543f9dd264ebc67cc85d1e44eadfc105873c53d6efca3e0a0d14e1fbe8b5308",
+    "E8": "d6c57903775394dda580d50f990112f9023a7fbee2444a46a07ea1a9e3961830",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTERVAL_SHA256))
+def test_exceptional_intervals_are_pinned(name):
+    poset = enumerate_interval(parse_type(name))
+    data = repr((poset.elements, poset.grades, poset.covers_up, poset.komp)).encode()
+    assert hashlib.sha256(data).hexdigest() == _INTERVAL_SHA256[name]
 
 
 def _interval_by_full_scan(group):
@@ -515,6 +537,115 @@ def test_verify_lattice_counts_the_pairs_it_checked(monkeypatch):
     assert again.pairs_checked == checked and len(again.violations) == 21
     fewer = verify_lattice(poset, samples=checked - 1)
     assert fewer.pairs_checked == checked - 1 and len(fewer.violations) < 21
+
+
+def _reference_lattice(poset, samples, seed):
+    """What sampled ``verify_lattice`` reports, written with ``meet_index``,
+    ``join_index`` and ``le``: (violations, pairs checked, reversal ok).
+
+    The reversal is tested on the set of cover pairs, both maps on every
+    edge; the pairs are the same seeded draws, each judged by the methods.
+    """
+    violations = []
+    edges = set(poset.cover_edges)
+    komp, komp_inv = poset.komp, poset.komp_inv
+    reversed_ok = True
+    for lo, hi in poset.cover_edges:
+        if (komp[hi], komp[lo]) not in edges or (komp_inv[hi], komp_inv[lo]) not in edges:
+            violations.append((lo, hi, "complement", "cover not reversed"))
+            reversed_ok = False
+            break
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(samples):
+        i, j = rng.randrange(len(poset)), rng.randrange(len(poset))
+        checked += 1
+        try:
+            m = poset.meet_index(i, j)
+        except LatticeError as exc:
+            violations.append((i, j, "meet", str(exc)))
+            m = None
+        try:
+            jn = poset.join_index(i, j)
+        except LatticeError as exc:
+            violations.append((i, j, "join", str(exc)))
+            jn = None
+        if jn is not None and not (poset.le(i, jn) and poset.le(j, jn)):
+            violations.append((i, j, "join", "result is not an upper bound"))
+        if m is not None and jn is not None:
+            try:
+                if komp_inv[poset.meet_index(komp[i], komp[j])] != jn:
+                    violations.append((i, j, "join", "complement route disagrees"))
+                if komp_inv[poset.join_index(komp[i], komp[j])] != m:
+                    violations.append((i, j, "meet", "complement route disagrees"))
+            except LatticeError as exc:
+                violations.append((i, j, "complement", str(exc)))
+        if len(violations) > 20:
+            break
+    return violations, checked, reversed_ok
+
+
+def _clear_bit(base, attr, j, b):
+    mutant = copy.copy(base)
+    masks = getattr(base, attr)
+    setattr(mutant, attr, masks[:j] + (masks[j] & ~(1 << b),) + masks[j + 1:])
+    return mutant
+
+
+@pytest.fixture(scope="module")
+def e6_poset():
+    return enumerate_interval(parse_type("E6"))
+
+
+@pytest.mark.parametrize(
+    "kind, pick",
+    [
+        ("down_masks", "seeded"),
+        ("down_masks", "join"),
+        ("up_masks", "seeded"),
+        ("komp", "seeded"),
+        # the self bits of the bottom and the top: every meet of the
+        # bottom, or every join of the top, fails, and the check stops
+        ("down_masks", "bottom"),
+        ("up_masks", "top"),
+    ],
+)
+def test_verify_lattice_matches_the_methods_on_a_corrupted_e6(e6_poset, kind, pick):
+    # E6 has 833 elements, so the lattice check samples its pairs and runs
+    # the meets and joins on the masks, not through the methods
+    base, seed = e6_poset, 1
+    assert len(base) > interval.EXHAUSTIVE_LIMIT
+    rng = random.Random(seed)
+    if kind == "komp":
+        grade = [i for i, g in enumerate(base.grades) if g == 3]
+        a, b = rng.sample(grade, 2)
+        komp = list(base.komp)
+        komp[a], komp[b] = komp[b], komp[a]
+        mutant = IntervalPoset(
+            base.ctype, base.group, base.elements, base.grades, base.covers_up, komp,
+            "absolute",
+        )
+    elif pick in ("seeded", "join"):
+        # the first sampled pair loses its meet from the first element's
+        # down set, its join from that element's up set, or the first
+        # element from the join's down set
+        i, j = rng.randrange(len(base)), rng.randrange(len(base))
+        if pick == "join":
+            mutant = _clear_bit(base, kind, base.join_index(i, j), i)
+        elif kind == "down_masks":
+            mutant = _clear_bit(base, kind, i, base.meet_index(i, j))
+        else:
+            mutant = _clear_bit(base, kind, i, base.top - base.join_index(i, j))
+    else:
+        mutant = _clear_bit(base, kind, base.bottom if pick == "bottom" else base.top, 0)
+    report = verify_lattice(mutant, samples=2000, seed=seed)
+    violations, checked, reversed_ok = _reference_lattice(mutant, 2000, seed)
+    assert report.violations == violations
+    assert report.pairs_checked == checked
+    assert report.complement_reversal_ok == reversed_ok
+    assert violations, "the corruption went unseen"
+    if pick in ("bottom", "top"):
+        assert len(violations) == 21 and checked < 2000
 
 
 def test_weak_order_poset():
