@@ -47,7 +47,8 @@ the projection that sends each atom to its reflection.
 which is all that interval enumeration asks of a model.  It asks only
 about the complements it cannot settle from two parents, c and its lower
 covers on a reflection group, with ``among`` narrowed to the reflections
-below every parent; the model tests each candidate it is given.
+below every parent, and of the lower covers only about one per orbit of
+conjugation by c; the model tests each candidate it is given.
 
 The group search builds W along the chain of standard parabolic
 subgroups W_J, J the first k simples for k = 0, ..., rank.  The next
@@ -256,8 +257,8 @@ class _GroupBase:
         ``length`` is l_T(x), and t lies below x in absolute order when
         l_T(t x) = length - 1; ``t x`` is ``mul(t, x)``.  Only the indices
         in ``among`` are tested, and each one is tested by its reflection
-        length.  Interval enumeration calls this for c and its lower
-        covers only.
+        length.  Interval enumeration calls this only for c and for one
+        lower cover per orbit of conjugation by c.
         """
         mul, refl_length, reflections = self.mul, self.refl_length, self.reflections
         return sum(1 << i for i in among if refl_length(mul(reflections[i], x)) == length - 1)
@@ -516,8 +517,9 @@ class RootGroup(_GroupBase):
         when the root of t lies in the moved space im(x - 1), i.e. when
         every row of the left null space of x - 1 annihilates it; this
         holds at any length, so ``length`` is unused.  Interval
-        enumeration calls this for c and its lower covers only, so one
-        left null basis is built per reflection, plus one for c.
+        enumeration calls this only for c and for one lower cover per
+        orbit of conjugation by c, so it builds one left null basis per
+        orbit of reflections, plus one for c.
         """
         roots = self._reflection_roots
         kept = list(among)

@@ -17,11 +17,19 @@ found sets, their common part is exactly the set below x': a reflection
 lies below w exactly when its root lies in Mov(w) = im(w - 1) (Carter,
 1972), Mov is injective on [1, c] (Brady and Watt, 2002), and so
 Mov(x') = Mov(x) & Mov(x''), both sides having dimension l(x').  Such a
-complement needs no test.  The group model's ``shortenings`` hook, which
-returns the int mask of the reflections below a complement, is asked only
-about the others, the complements whose parents all brought the same set:
-on a reflection group these are c and its lower covers, 1 + N complements
-for N reflections.  A complement is looked up by the images of its first
+complement needs no test, and its set is exact after two distinct
+parents: every later parent lies above it and brings a superset, so it is
+not intersected again.  The group model's ``shortenings`` hook, which
+returns the int mask of the reflections below a complement, is needed
+only for the others, the complements whose parents all brought the same
+set: on a reflection group these are c and its lower covers t c, 1 + N
+complements for N reflections.  Conjugation by c is an automorphism of
+[1, c] (Bessis, 2003) that permutes the reflections by
+sigma(t) = c^-1 t c and sends t c to sigma(t) c, so
+found(sigma(t) c) = sigma(found(t c)): the model is asked about c and one
+lower cover per sigma-orbit, and the answer is carried along the orbit.
+A model whose reflections c-conjugation does not permute is asked about
+every lower cover.  A complement is looked up by the images of its first
 max(rank, 2) points, which determine an element in every model, and only
 the current frontier keeps full complements.  Elements are the group
 model's own (byte strings for at most 256 points, image tuples beyond),
@@ -247,6 +255,10 @@ def enumerate_interval(ctype: CoxType) -> IntervalPoset:
     # brings another set; otherwise it holds candidates for the model
     frontier, comps, masks, exact = [0], [c], [(1 << len(reflections)) - 1], [False]
     for k in range(n):
+        if k == 1:
+            carried = _atom_masks(group, comps, masks, n)
+            if carried is not None:
+                masks, exact = carried, [True] * len(carried)
         hi = len(elements)
         nxt: list[int] = []
         nxt_comps: list = []
@@ -257,23 +269,29 @@ def enumerate_interval(ctype: CoxType) -> IntervalPoset:
             found = mask if is_exact else group.shortenings(x, n - k, _bits(mask))
             table = x + pad
             ups: list[int] = []
-            for i in _bits(found):
+            rest = found
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                i = low.bit_length() - 1
                 key = act(heads[i], table)
                 vi = index_by_key.get(key)
                 if vi is None:
                     vi = index_by_key[key] = len(elements)
                     elements.append(act(u, rights[i]))
-                    grades.append(k + 1)
                     nxt.append(vi)
                     nxt_comps.append(act(reflections[i], table))
                     nxt_masks.append(found)
                     nxt_exact.append(False)
-                elif nxt_masks[vi - hi] != found:
-                    # the frontier of grade k + 1 holds the indices hi, hi + 1, ...
+                # the frontier of grade k + 1 holds the indices hi, hi + 1, ...;
+                # an exact mask is left alone, since every later parent's
+                # found set contains it
+                elif not nxt_exact[vi - hi] and nxt_masks[vi - hi] != found:
                     nxt_masks[vi - hi] &= found
                     nxt_exact[vi - hi] = True
                 ups.append(vi)
             covers.append(tuple(ups))
+        grades += [k + 1] * len(nxt)
         frontier, comps, masks, exact = nxt, nxt_comps, nxt_masks, nxt_exact
     # the top grade covers nothing
     covers.extend(() for _ in frontier)
@@ -281,6 +299,41 @@ def enumerate_interval(ctype: CoxType) -> IntervalPoset:
     for j, el in enumerate(elements):
         komp[index_by_key[el[:width]]] = j
     return IntervalPoset(ctype, group, elements, grades, covers, komp, "absolute")
+
+
+def _atom_masks(group, comps: list, masks: list[int], n: int) -> list[int] | None:
+    """The atoms' found sets, asking the model once per orbit of conjugation.
+
+    The atoms are the reflections of ``masks[0]``, the found set of c, in
+    increasing order; ``comps`` holds their complements t c and ``masks``
+    their candidates.  sigma, with reflections[sigma[i]] =
+    c^-1 reflections[i] c, sends t c to sigma(t) c, so the model is asked
+    about one atom per sigma-orbit and the answer is carried along it:
+    found(sigma(t) c) = sigma(found(t c)).  None when conjugation by c
+    does not permute the listed reflections (an image is not listed, or
+    two indices share one), and the model is then asked about every atom.
+    """
+    c, reflections = group.coxeter_element, group.reflections
+    mul, c_inv = group.mul, group.inv(c)
+    index = dict(zip(reflections, range(len(reflections))))
+    sigma = [index.get(mul(mul(c_inv, t), c)) for t in reflections]
+    if None in sigma or len(set(sigma)) != len(sigma):
+        return None
+    atoms = list(_bits(masks[0]))
+    position = dict(zip(atoms, range(len(atoms))))
+    bit = [1 << j for j in sigma]
+    found: list = [None] * len(atoms)
+    for start, i in enumerate(atoms):
+        if found[start] is not None:
+            continue
+        mask = group.shortenings(comps[start], n - 1, _bits(masks[start]))
+        p = start
+        while found[p] is None:
+            found[p] = mask
+            i = sigma[i]
+            p = position[i]
+            mask = sum(map(bit.__getitem__, _bits(mask)))
+    return found
 
 
 def _bits(mask: int):
@@ -356,7 +409,7 @@ def _failure(bound, i: int, j: int) -> str:
         bound(i, j)
     except LatticeError as exc:
         return str(exc)
-    raise AssertionError(f"{bound.__name__}({i}, {j}) found a bound the masks did not")
+    raise LatticeError(f"{bound.__name__}({i}, {j}) found a bound the masks did not")
 
 
 def _check_pairs(poset: IntervalPoset, pairs, violations: list) -> int:

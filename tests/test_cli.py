@@ -395,6 +395,33 @@ def test_lattice_failure_exits_1(capsys, monkeypatch):
         assert err.startswith("error: no lower bound for indices"), err
 
 
+def test_lattice_check_that_disagrees_with_its_masks_exits_1(capsys, monkeypatch):
+    # the masks lose a bound that meet_index still finds: a broken
+    # invariant, reported as one error line, not a traceback
+    tau1 = coxeter_group(parse_type("B3")).atom_image(parse_atom("tau(1)"))
+    real = interval.enumerate_interval
+
+    def corrupted(ctype):
+        poset = real(ctype)
+        down = list(poset.down_masks)
+        down[poset.index[tau1]] &= ~(1 << poset.bottom)
+        poset.__dict__["down_masks"] = tuple(down)
+        return poset
+
+    def meet_index(self, i, j):
+        return self.bottom
+
+    monkeypatch.setattr(interval, "enumerate_interval", corrupted)
+    monkeypatch.setattr(interval.IntervalPoset, "meet_index", meet_index)
+    assert main(["verify", "lattice", "B3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: meet_index(")
+    assert lines[0].endswith(") found a bound the masks did not")
+
+
 def test_nf_rejects_wrong_alphabet(capsys):
     assert main(["nf", "B2", "sigma(1)"]) == 2
     capsys.readouterr()

@@ -220,8 +220,8 @@ def test_inherited_candidates_match_a_full_scan():
         assert poset.komp == komp, name
 
 
-def test_model_tests_only_c_and_its_lower_covers(monkeypatch):
-    # any complement below two parents inherits an exact reflection set
+def _spy_on_shortenings(monkeypatch):
+    """Route interval's models through a hook that records each question."""
     asked = []
 
     def counting_group(ctype):
@@ -236,12 +236,64 @@ def test_model_tests_only_c_and_its_lower_covers(monkeypatch):
         return group
 
     monkeypatch.setattr(interval, "coxeter_group", counting_group)
+    return asked
+
+
+def _conjugation_orbits(group):
+    """The orbits of t -> c^-1 t c on the reflections, walked with ``mul``."""
+    c = group.coxeter_element
+    c_inv = c
+    while group.mul(c_inv, c) != group.identity:
+        c_inv = group.mul(c_inv, c)
+    orbits, seen = [], set()
+    for t in group.reflections:
+        if t in seen:
+            continue
+        orbit = []
+        while t not in seen:
+            seen.add(t)
+            orbit.append(t)
+            t = group.mul(group.mul(c_inv, t), c)
+        orbits.append(orbit)
+    return orbits
+
+
+def test_model_tests_c_and_one_lower_cover_per_c_orbit(monkeypatch):
+    # any complement below two parents inherits an exact reflection set,
+    # and conjugation by c carries a lower cover's set along its orbit
+    asked = _spy_on_shortenings(monkeypatch)
     for label in TABLE_TYPES:
         ct = parse_type(label)
         asked.clear()
         enumerate_interval(ct)
-        expected = 1 if ct.rank == 1 else 1 + ct.num_reflections
+        orbits = _conjugation_orbits(coxeter_group(ct))
+        expected = 1 if ct.rank == 1 else 1 + len(orbits)
         assert len(asked) == expected, label
+
+
+@pytest.mark.parametrize("label", list(TABLE_TYPES) + ["I2:300"])
+def test_atom_masks_carried_along_c_orbits_match_the_model(label, monkeypatch):
+    # the mask an atom t brings to its covers is read off the poset: its
+    # upper covers are t s over the reflections s of that mask; it must be
+    # the unpatched model's answer for t c, whether asked or carried
+    asked = _spy_on_shortenings(monkeypatch)
+    ct = parse_type(label)
+    poset = enumerate_interval(ct)
+    group = coxeter_group(ct)
+    c, n = group.coxeter_element, group.refl_length(group.coxeter_element)
+    refs = group.reflections
+    index = {t: i for i, t in enumerate(refs)}
+    asked_atoms = set()
+    for a in poset.atom_indices:
+        t = poset.elements[a]
+        used = sum(1 << index[group.left_div(t, poset.elements[v])] for v in poset.covers_up[a])
+        assert used == group.shortenings(group.mul(t, c), n - 1, range(len(refs))), (label, a)
+        if group.mul(t, c) in asked:
+            asked_atoms.add(t)
+    if ct.rank > 1:
+        # the model was asked about exactly one atom of each orbit
+        for orbit in _conjugation_orbits(group):
+            assert len(asked_atoms.intersection(orbit)) == 1, label
 
 
 class _Asked(Exception):
