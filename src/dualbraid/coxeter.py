@@ -69,9 +69,12 @@ are the simple roots, a basis.
 
 The root model builds its roots exactly over Z, H3 and H4 included,
 whose roots in the golden ring Z[phi] it holds by their 2n integer
-coordinates in the Z-basis alpha_i, phi alpha_i.  It answers its two rank
-questions, the reflection length and the moved-space test behind its
-``shortenings``, from one left null basis of x - 1 in those coordinates.
+coordinates in the Z-basis alpha_i, phi alpha_i; the package has no other
+number type.  It answers its two rank questions, the reflection length
+and the moved-space test behind its ``shortenings``, from one left null
+basis of x - 1 over Z in those coordinates, found by fraction-free
+elimination.  On H each dimension of Fix(x) gives two of its k rows, so
+l_T(x) is n - k/2 there and n - k elsewhere.
 """
 
 from __future__ import annotations
@@ -79,10 +82,10 @@ from __future__ import annotations
 import operator
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable
+from math import gcd
+from typing import Iterable, Sequence
 
 from .coxtypes import CoxType
-from .exact import GoldenInt, left_null_basis
 from .presentation import Atom, Word
 
 __all__ = [
@@ -423,14 +426,63 @@ def _cartan_matrix(ctype: CoxType) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
+def _left_null_basis(mat: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Basis of the rows y with y @ mat = 0, for a square integer matrix.
+
+    Fraction-free elimination on the transpose, which needs no exact
+    division; each vector is divided by the gcd of its entries.
+
+    >>> _left_null_basis([[1, 2], [2, 4]])
+    ((-2, 1),)
+    """
+    n = len(mat)
+    rows = [list(col) for col in zip(*mat)]
+    piv_cols: list[int] = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, n) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pv = rows[r][c]
+        for i in range(r + 1, n):
+            if rows[i][c]:
+                mult = rows[i][c]
+                ri = rows[i]
+                rr = rows[r]
+                rows[i] = [pv * ri[j] - mult * rr[j] for j in range(n)]
+        piv_cols.append(c)
+        r += 1
+        if r == n:
+            break
+    basis = []
+    pivot_set = set(piv_cols)
+    for fcol in (c for c in range(n) if c not in pivot_set):
+        y = [0] * n
+        y[fcol] = 1
+        for i in reversed(range(len(piv_cols))):
+            p = piv_cols[i]
+            row = rows[i]
+            s = 0
+            for j in range(n):
+                if j != p and y[j] and row[j]:
+                    s += row[j] * y[j]
+            pv = row[p]
+            y = [pv * v for v in y]
+            y[p] = -s
+        g = gcd(*y)
+        basis.append(tuple(v // g for v in y))
+    return tuple(basis)
+
+
 class RootGroup(_GroupBase):
     """An exceptional type as permutations of its root system.
 
     The roots are built once, exactly, over Z: the orbit of the simple
     roots under the simple reflections, which is closed under negation.
-    A root holds its coordinates in the simple roots, on H3 and H4 the 2n
-    of the Z-basis alpha_1..alpha_n, phi alpha_1..phi alpha_n, and
-    ``roots`` reads them as tuples over Z or Z[phi] (:class:`GoldenInt`).
+    ``roots`` holds each root as the integer tuple of its coordinates in
+    the simple roots, on H3 and H4 the 2n of the Z-basis alpha_1..alpha_n,
+    phi alpha_1..phi alpha_n.
     The first ``rank`` roots are the simple roots.  An element w has p[r]
     the index of w(root r): the roots are the point set of this model.
     There is one reflection per +- root pair, the conjugate of a simple
@@ -477,7 +529,7 @@ class RootGroup(_GroupBase):
             raise RuntimeError(
                 f"{ctype}: found {len(roots)} roots, expected {2 * ctype.num_reflections}"
             )
-        self._roots = roots
+        self.roots = tuple(roots)
         self._use_points(len(roots))
         self.simples = tuple(map(self._element, images))
         # s_{s_j(a)} = s_j s_a s_j; keep the first root of each +- pair
@@ -491,15 +543,9 @@ class RootGroup(_GroupBase):
         self.reflections = tuple(by_root[r] for r in kept)
         self._reflection_roots = tuple(roots[r] for r in kept)
 
-    @cached_property
-    def roots(self) -> tuple[tuple, ...]:
-        """The roots in the simple-root basis, over Z or, on H, Z[phi]."""
-        n, golden = self.n, self._dim > self.n
-        return tuple(tuple(map(GoldenInt, r[:n], r[n:])) if golden else r for r in self._roots)
-
     def _moved(self, u) -> list[list[int]]:
         """w - 1 over Z: column j is w(e_j) - e_j for coordinate vector e_j."""
-        roots, n = self._roots, self.n
+        roots, n = self.roots, self.n
         cols = [roots[k] for k in u[:n]]
         if self._dim != n:
             # w(phi alpha_j) = phi w(alpha_j), and phi (a + b phi) = b + (a + b) phi
@@ -508,7 +554,7 @@ class RootGroup(_GroupBase):
 
     def refl_length(self, u) -> int:
         # dim / n null rows per dimension of Fix(w)
-        return (self._dim - len(left_null_basis(self._moved(u)))) * self.n // self._dim
+        return (self._dim - len(_left_null_basis(self._moved(u)))) * self.n // self._dim
 
     def shortenings(self, x, length: int, among) -> int:
         """Mask of the indices i with t = reflections[i] below x.
@@ -523,7 +569,7 @@ class RootGroup(_GroupBase):
         """
         roots = self._reflection_roots
         kept = list(among)
-        for y in left_null_basis(self._moved(x)):
+        for y in _left_null_basis(self._moved(x)):
             kept = [i for i in kept if not sum(map(operator.mul, y, roots[i]))]
         return sum(1 << i for i in kept)
 

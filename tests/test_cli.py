@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,9 +13,11 @@ from dualbraid import (
     completed_dual_presentation,
     congruence,
     coxeter_group,
+    halfturn,
     interval,
     parse_atom,
     parse_type,
+    presentation,
 )
 from dualbraid.cli import GROUP_ORDER_LIMIT, TABLE_TYPES, main
 
@@ -479,3 +482,47 @@ def test_text_output_golden(capsys, case):
     captured = capsys.readouterr()
     assert captured.out == case["stdout"]
     assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "partners,fail",
+    [
+        (True, "shifted relation "),
+        (False, "shift map is not an involution at a(2,1)"),
+    ],
+)
+def test_verify_halfturn_fails_on_a_wrong_shift(capsys, monkeypatch, partners, fail):
+    # swap the images of a(2,1) and a(3,2); swapping their partners' images
+    # too keeps the map an involution, so only the relations can catch it
+    real = halfturn.halfturn_map
+    a, b = parse_atom("a(2,1)"), parse_atom("a(3,2)")
+
+    def corrupted(n):
+        phi = real(n)
+        phi[a], phi[b] = phi[b], phi[a]
+        if partners:
+            phi[phi[a]], phi[phi[b]] = a, b
+        return phi
+
+    monkeypatch.setattr(halfturn, "halfturn_map", corrupted)
+    assert main(["verify", "halfturn", "3"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  FAIL ")]
+    assert any(line[len("  FAIL ") :].startswith(fail) for line in fails), fails
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "D4", "I2(5)"])
+def test_verify_garside_element_fails_on_a_wrong_first_letter(capsys, monkeypatch, label):
+    # the first letter of the Garside word replaced by another atom: the
+    # rewriting route alone must refuse it, without the group
+    real = presentation.presentation_for
+
+    def corrupted(ctype, kind):
+        pres = real(ctype, kind)
+        first, *rest = pres.garside_word
+        other = next(x for x in pres.atoms if x != first)
+        return dataclasses.replace(pres, garside_word=(other, *rest))
+
+    monkeypatch.setattr(presentation, "presentation_for", corrupted)
+    code, data = run_json(capsys, "verify", "garside-element", label)
+    assert code == 1
+    assert (data["divisor_sets_agree"], data["ok"]) == (False, False)

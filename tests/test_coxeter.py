@@ -10,8 +10,8 @@ from dualbraid.coxeter import (
     PermGroup,
     RootGroup,
     SignedPermGroup,
+    _left_null_basis,
 )
-from dualbraid.exact import GoldenInt, left_null_basis
 from dualbraid.presentation import dual_atoms
 
 
@@ -178,14 +178,14 @@ def test_refl_length_equals_fixed_space_codimension(exact_rank):
             assert group.refl_length(u) == exact_rank(diff), (name, u)
 
 
-def test_root_model_refl_length_is_rank_of_moved_space(exact_rank):
-    # the root model reads l_T(w) off a left null basis of w - 1; check it
-    # against the suite's own rank of w - 1, with column j holding the
-    # root coordinates of w(alpha_j)
+def test_root_model_refl_length_is_rank_of_moved_space(exact_rank, golden_roots):
+    # the root model reads l_T(w) off a left null basis of w - 1 over Z;
+    # check it against the suite's own rank of w - 1, with column j holding
+    # the root coordinates of w(alpha_j), in the suite's Z[phi] on H
     rng = random.Random(2001)
     for name in ["H3", "H4", "F4", "E6", "E7", "E8"]:
         group = RootGroup(parse_type(name))
-        n, refs = group.n, group.reflections
+        n, refs, roots = group.n, group.reflections, golden_roots(group)
         sample = [group.identity, group.coxeter_element, *refs]
         for _ in range(100):
             u = group.identity
@@ -193,22 +193,22 @@ def test_root_model_refl_length_is_rank_of_moved_space(exact_rank):
                 u = group.mul(u, t)
             sample.append(u)
         for u in sample:
-            cols = [group.roots[k] for k in u[:n]]
+            cols = [roots[k] for k in u[:n]]
             diff = [[cols[j][i] - (i == j) for j in range(n)] for i in range(n)]
             assert group.refl_length(u) == exact_rank(diff), (name, tuple(u))
 
 
 @pytest.mark.parametrize("name", ["H3", "H4", "F4", "E6"])
-def test_root_model_shortenings_match_their_definition(name, exact_rank):
+def test_root_model_shortenings_match_their_definition(name, exact_rank, golden_roots):
     # bit i is set exactly when rank(t_i x - 1) = rank(x - 1) - 1, with the
     # ranks taken by the suite's own oracle on matrices of the roots in the
-    # simple-root basis; x runs over c, its lower covers t c and 50 seeded
-    # products of reflections
+    # simple-root basis, in the suite's Z[phi] on H; x runs over c, its lower
+    # covers t c and 50 seeded products of reflections
     group = RootGroup(parse_type(name))
-    n, refs, mul = group.n, group.reflections, group.mul
+    n, refs, mul, roots = group.n, group.reflections, group.mul, golden_roots(group)
 
     def rank(u):
-        cols = [group.roots[k] for k in u[:n]]
+        cols = [roots[k] for k in u[:n]]
         return exact_rank([[cols[j][i] - (i == j) for j in range(n)] for i in range(n)])
 
     c = group.coxeter_element
@@ -287,26 +287,22 @@ def test_dihedral_rotations_and_reflections():
                 assert group.mul(ref[a], ref[b]) == rot[(b - a) % m]
 
 
-def test_golden_int_arithmetic():
-    phi = GoldenInt(0, 1)
+def test_golden_int_arithmetic(golden):
+    # the suite's own Z[phi], on which its H3/H4 rank oracles run
+    phi = golden(0, 1)
     assert phi * phi == phi + 1
-    assert (phi - 1) * phi == GoldenInt(1, 0)
-    assert GoldenInt.coerce(5) == GoldenInt(5, 0)
+    assert (phi - 1) * phi == golden(1, 0)
     assert 2 * phi - phi == phi
 
 
 def test_matrix_helpers():
     ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert left_null_basis(ident) == ()
+    assert _left_null_basis(ident) == ()
     singular = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    (y,) = left_null_basis(singular)
+    (y,) = _left_null_basis(singular)
     assert y == (-2, 1, 0)
-    # over Z[phi]: the row (phi, -1) kills [[1, phi], [phi, phi + 1]]
-    phi, one = GoldenInt(0, 1), GoldenInt(1, 0)
-    golden = [[one, phi], [phi, phi + 1]]
-    (y,) = left_null_basis(golden)
-    for j in range(2):
-        assert not (y[0] * golden[0][j] + y[1] * golden[1][j])
+    # elimination yields (-4, 2) here, so this row pins the gcd reduction
+    assert _left_null_basis([[2, 4], [4, 8]]) == ((-2, 1),)
 
 
 def test_root_group_h3_reflections():

@@ -18,7 +18,6 @@ from dualbraid import (
 )
 from dualbraid import coxeter, interval
 from dualbraid.cli import GROUP_ORDER_LIMIT, TABLE_TYPES
-from dualbraid.exact import GoldenInt
 
 
 def test_counts_match_closed_forms():
@@ -63,20 +62,17 @@ def test_top_is_coxeter_element():
     assert poset.elements[poset.bottom] == group.identity
 
 
-# Cartan data of the test's own reflection matrices, in the convention of
-# the root model: s_j(e_i) = e_i - A[i][j] e_j.  H3 has bonds 5 and 3.
-_PHI, _ONE, _ZERO = GoldenInt(0, 1), GoldenInt(1, 0), GoldenInt(0, 0)
-_DEFINITION_CARTAN = {
-    "H3": (
-        (
-            (_ONE + _ONE, -_PHI, _ZERO),
-            (-_PHI, _ONE + _ONE, -_ONE),
-            (_ZERO, -_ONE, _ONE + _ONE),
-        ),
-        _ONE,
-    ),
-    "F4": (((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)), 1),
-}
+def _definition_cartan(name, golden):
+    """Cartan data of the test's own reflection matrices, and their one.
+
+    The convention is the root model's: s_j(e_i) = e_i - A[i][j] e_j.  H3
+    has bonds 5 and 3, and its entries lie in the suite's own Z[phi].
+    """
+    if name == "F4":
+        return ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)), 1
+    phi, one, zero = golden(0, 1), golden(1), golden(0)
+    two = one + one
+    return ((two, -phi, zero), (-phi, two, -one), (zero, -one, two)), one
 
 
 def _matmul(a, b):
@@ -135,15 +131,16 @@ def _interval_by_definition(cartan, one, rank):
     return len(group), kept, covers
 
 
-def test_interval_matches_its_definition(exact_rank):
-    # shares no code with the engine: its own matrices, group search and
-    # ranks, with the root model read only to turn elements into matrices
+def test_interval_matches_its_definition(exact_rank, golden, golden_roots):
+    # shares no code with the engine: its own numbers, matrices, group search
+    # and ranks, with the root model read only to turn elements into matrices
     for name in ["H3", "F4"]:
         ct = parse_type(name)
-        order, kept, covers = _interval_by_definition(*_DEFINITION_CARTAN[name], exact_rank)
+        cartan, one = _definition_cartan(name, golden)
+        order, kept, covers = _interval_by_definition(cartan, one, exact_rank)
         assert order == ct.group_order
         poset = enumerate_interval(ct)
-        roots, n = poset.group.roots, ct.rank
+        roots, n = golden_roots(poset.group), ct.rank
         mats = [
             tuple(tuple(roots[el[j]][i] for j in range(n)) for i in range(n))
             for el in poset.elements
